@@ -33,11 +33,9 @@ from .params import ModelParams, SystemKind
 from .unitary import (TimeSeries, amplitude_rhs, evolve_amplitudes,
                       expm_reference, expm_series, two_photon_probability)
 
-try:
-    from importlib.metadata import version as _version
-    __version__ = _version("artifact")
-except Exception:  # pragma: no cover
-    __version__ = "0.0.0"
+from .experiments import engine_version as _engine_version
+
+__version__ = _engine_version()
 
 __all__ = [
     "Basis", "BasisState", "enumerate_basis",

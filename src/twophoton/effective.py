@@ -42,7 +42,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .errors import (ConfigurationError, NoRootInInterval, PoleError,
                      SingularityError)
@@ -60,6 +59,19 @@ POLYNOMIAL = "polynomial"
 DEGENERACY_FRACTION = 0.1
 
 _ROOT_XTOL = 1e-10
+
+
+def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
+    """Root of f on [lo, hi] to _ROOT_XTOL; f(lo) = f_lo and f(hi) differ in sign."""
+    width = hi - lo
+    while True:
+        width *= 0.5
+        mid = lo + width
+        f_mid = f(mid)
+        if f_mid == 0.0 or width < _ROOT_XTOL:
+            return mid
+        if np.sign(f_mid) == np.sign(f_lo):
+            lo, f_lo = mid, f_mid
 
 
 def _check_variant(variant: str) -> str:
@@ -359,7 +371,7 @@ def resonance_detuning(kind: SystemKind | str, params: ModelParams,
         raise NoRootInInterval(
             f"effective detuning does not change sign on [{lo}, {hi}] "
             f"(endpoint values {f_lo:.4g}, {f_hi:.4g})")
-    root = float(bisect(omega_at, lo, hi, xtol=_ROOT_XTOL))
+    root = _bisect(omega_at, lo, hi, f_lo)
 
     def stark_at(delta: float) -> float:
         return stark_shift_condition(kind, params, delta)
@@ -367,7 +379,7 @@ def resonance_detuning(kind: SystemKind | str, params: ModelParams,
     stark_root = None
     s_lo, s_hi = stark_at(lo), stark_at(hi)
     if np.sign(s_lo) != np.sign(s_hi):
-        stark_root = float(bisect(stark_at, lo, hi, xtol=_ROOT_XTOL))
+        stark_root = _bisect(stark_at, lo, hi, s_lo)
 
     return ResonanceResult(delta_star=root, delta_star_stark=stark_root,
                            omega_residual=omega_at(root),

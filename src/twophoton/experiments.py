@@ -32,7 +32,6 @@ LATE_WINDOW = (25.0, 60.0)
 MAX_DEFAULT_HORIZON = 2000.0
 
 SCAN_AXES = ("delta_small", "delta_cap")
-OBSERVABLES = ("two_photon",)
 
 
 def engine_version() -> str:
@@ -93,7 +92,6 @@ class SweepSpec:
     axis: str
     values: tuple[float, ...]
     horizon: float = DEFAULT_HORIZON
-    observable: str = "two_photon"
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SystemKind.coerce(self.kind))
@@ -110,9 +108,6 @@ class SweepSpec:
         object.__setattr__(self, "values", values)
         if self.horizon <= 0:
             raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
-        if self.observable not in OBSERVABLES:
-            raise ConfigurationError(
-                f"observable must be one of {OBSERVABLES}, got {self.observable!r}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,7 @@ def scan_two_photon(spec: SweepSpec, substep: float | None = None) -> SweepResul
     provenance = {
         "engine": engine_version(),
         "axis": spec.axis,
-        "observable": spec.observable,
+        "observable": "two_photon",
         "grid_step": PEAK_GRID_STEP,
         "horizon": spec.horizon,
         "substep": used_substep,

@@ -1,16 +1,19 @@
 """Fixed-step integration core.
 
 Everything this package integrates is a constant-coefficient linear system
-(amplitudes under -iH, density matrices under the damping generator).  For
-such systems the classical fourth-order Runge-Kutta step with step h is
+y' = A y: amplitudes under A = -iH, and density matrices under the
+master-equation generator acting on the flattened matrix (see
+:mod:`twophoton.lindblad`).  Both go through the one :func:`propagate_grid`.
+For such systems the classical fourth-order Runge-Kutta step with step h is
 *identical* to applying the degree-4 Taylor polynomial of the exponential,
 
     P4(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
 
 so the engine builds that one-substep matrix, raises it to the number of
 substeps per output interval with ``np.linalg.matrix_power``, and applies
-it sequentially.  This keeps the integrator deterministic (no adaptivity),
-cheap, and bit-stable across repeat runs.
+it sequentially, building one interval propagator per distinct interval
+length of the grid.  This keeps the integrator deterministic (no
+adaptivity), cheap, and bit-stable across repeat runs.
 
 The default substep is deliberately conservative: the global error of RK4
 grows like t*h^4*|E|^5, so the step shrinks with the largest detuning.
@@ -40,7 +43,12 @@ def default_substep(delta_cap: float, delta_small: float) -> float:
 
 
 def rk4_step(f, y, h: float):
-    """One literal Runge-Kutta-4 step of y' = f(y) (autonomous)."""
+    """One literal Runge-Kutta-4 step of y' = f(y) (autonomous).
+
+    Not used by the engine: it is the literal-RK4 reference that
+    ``test_taylor_propagator_equals_literal_rk4`` compares
+    :func:`taylor_propagator` against.
+    """
     k1 = f(y)
     k2 = f(y + 0.5 * h * k1)
     k3 = f(y + 0.5 * h * k2)
@@ -73,8 +81,10 @@ def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
 
     ``y0`` is the state at ``t_grid[0]``.  Each output interval is split
     into ``ceil(dt/substep)`` equal substeps; the interval propagator is
-    the substep matrix raised to that power, cached per distinct interval
-    length (uniform grids build it exactly once).
+    the substep matrix raised to that power.  Intervals are grouped once
+    per grid by their length rounded to 12 decimals, and one propagator is
+    built per group from the group's first interval.  A uniform grid (whose
+    intervals differ only by rounding) therefore builds exactly one.
 
     Returns the (len(t_grid), dim) array of states.
     """
@@ -88,15 +98,15 @@ def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
     out = np.empty((t.size, y.size), dtype=complex)
     out[0] = y
 
-    cache: dict[float, np.ndarray] = {}
-    for i in range(1, t.size):
-        dt = t[i] - t[i - 1]
-        u = cache.get(dt)
-        if u is None:
-            nsub = max(1, math.ceil(dt / substep))
-            u = np.linalg.matrix_power(
-                taylor_propagator(generator, dt / nsub), nsub)
-            cache[dt] = u
-        y = u @ y
+    dt = np.diff(t)
+    _, first, group = np.unique(np.round(dt, 12), return_index=True,
+                                return_inverse=True)
+    propagators = []
+    for i in first:
+        nsub = max(1, math.ceil(dt[i] / substep))
+        propagators.append(np.linalg.matrix_power(
+            taylor_propagator(generator, dt[i] / nsub), nsub))
+    for i, g in enumerate(group.tolist(), start=1):
+        y = propagators[g] @ y
         out[i] = y
     return out

@@ -6,29 +6,29 @@ The master equation evolved here is
                                        + rho c_m^+ c_m),
 
 with one annihilator per cavity mode, so each mode loses photons at rate
-2*kappa_m.  The generator is linear, and the engine reuses the fixed-step
-scheme of :mod:`twophoton.integrate`: the RK4 substep — being itself a
-linear map on rho — is compiled once into a matrix acting on the flattened
-density matrix by applying ``lindblad_rhs`` to every matrix unit, then
-raised to the substeps-per-interval power.  ``lindblad_rhs`` stays the
-single home of the dissipator algebra; the compiled matrix is derived from
-it mechanically and is equal to literal RK4 stepping by linearity.
+2*kappa_m.  The generator is linear, so each run builds it once as a
+matrix acting on the flattened density matrix vec(rho): its columns are
+``lindblad_rhs`` applied to the d^2 matrix units.  That matrix goes to
+:func:`twophoton.integrate.propagate_grid`, the same fixed-step RK4
+propagator the coherent sector uses.  ``lindblad_rhs`` stays the single
+home of the dissipator algebra; the matrix is derived from it mechanically,
+and stepping it is literal RK4 on rho by linearity.
 
-Trace, Hermiticity, and spectral positivity are monitored at every output
-point; a breach aborts the run, since a density matrix that has lost these
-properties no longer represents a physical state.
+Trace, Hermiticity, and spectral positivity are checked at every output
+point in time order; the first breach aborts the run, since a density
+matrix that has lost these properties no longer represents a physical
+state.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import Basis, enumerate_basis
 from .errors import ConfigurationError, NumericalInvariantError
-from .integrate import default_substep, rk4_step, validate_grid
+from .integrate import default_substep, propagate_grid, validate_grid
 from .operators import build_hamiltonian, build_jump_operators
 from .params import ModelParams, SystemKind
 from .unitary import TimeSeries
@@ -77,8 +77,10 @@ def lindblad_rhs(kind: SystemKind | str, params: ModelParams,
                  jumps: list[np.ndarray] | None = None) -> np.ndarray:
     """Right-hand side of the master equation in matrix form.
 
-    The optional ``hamiltonian``/``jumps`` let callers reuse prebuilt
-    operators; they default to the damped-sector operators for ``kind``.
+    ``rho`` may also be a stack of matrices, shape (n, d, d), each mapped
+    independently.  The optional ``hamiltonian``/``jumps`` let callers reuse
+    prebuilt operators; they default to the damped-sector operators for
+    ``kind``.
     """
     kind = SystemKind.coerce(kind)
     params.validate_for_kind(kind)
@@ -98,22 +100,13 @@ def lindblad_rhs(kind: SystemKind | str, params: ModelParams,
     return out
 
 
-def _substep_superoperator(kind: SystemKind, params: ModelParams,
-                           h: float, dim: int) -> np.ndarray:
-    """Compile one RK4 substep of the master equation to a matrix on vec(rho)."""
-    hamiltonian = build_hamiltonian(kind, params, damped=True)
-    jumps = build_jump_operators(kind)
-
-    def rhs(r: np.ndarray) -> np.ndarray:
-        return lindblad_rhs(kind, params, r, hamiltonian=hamiltonian, jumps=jumps)
-
-    step = np.empty((dim * dim, dim * dim), dtype=complex)
-    unit = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim * dim):
-        unit.flat[col] = 1.0
-        step[:, col] = rk4_step(rhs, unit, h).ravel()
-        unit.flat[col] = 0.0
-    return step
+def _generator(kind: SystemKind, params: ModelParams, dim: int) -> np.ndarray:
+    """The master-equation generator as a matrix on vec(rho) = rho.ravel()."""
+    units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    columns = lindblad_rhs(kind, params, units,
+                           hamiltonian=build_hamiltonian(kind, params, damped=True),
+                           jumps=build_jump_operators(kind))
+    return np.ascontiguousarray(columns.reshape(dim * dim, dim * dim).T)
 
 
 def _initial_density(basis: Basis, initial) -> np.ndarray:
@@ -137,7 +130,8 @@ def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
 
     ``initial`` defaults to the pure doubly-excited vacuum state and may be
     a matrix or a :class:`DensityMatrix`; it is the state at ``t_grid[0]``.
-    Every output point is checked for trace, Hermiticity, and positivity.
+    Every output point is checked, in time order, for trace, Hermiticity,
+    and positivity; the snapshots are views into one (nt, d, d) array.
     """
     kind = SystemKind.coerce(kind)
     params.validate_for_kind(kind)
@@ -146,27 +140,14 @@ def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
     rho = _initial_density(basis, initial)
     if substep is None:
         substep = default_substep(params.delta_cap, params.delta_small)
-    if substep <= 0:
-        raise ConfigurationError(f"substep must be positive, got {substep}")
 
-    out = [DensityMatrix(basis=basis, matrix=rho.copy(), time=float(t[0]))]
-    _check_invariants(rho, float(t[0]))
-
-    vec = rho.ravel()
-    cache: dict[float, np.ndarray] = {}
-    for i in range(1, t.size):
-        dt = t[i] - t[i - 1]
-        u = cache.get(dt)
-        if u is None:
-            nsub = max(1, math.ceil(dt / substep))
-            step = _substep_superoperator(kind, params, dt / nsub, basis.dim)
-            u = np.linalg.matrix_power(step, nsub)
-            cache[dt] = u
-        vec = u @ vec
-        rho = vec.reshape(basis.dim, basis.dim)
-        _check_invariants(rho, float(t[i]))
-        out.append(DensityMatrix(basis=basis, matrix=rho.copy(), time=float(t[i])))
-    return out
+    d = basis.dim
+    rhos = propagate_grid(_generator(kind, params, d), t, rho.ravel(),
+                          substep=substep).reshape(t.size, d, d)
+    for r, time in zip(rhos, t):
+        _check_invariants(r, float(time))
+    return [DensityMatrix(basis=basis, matrix=r, time=float(time))
+            for r, time in zip(rhos, t)]
 
 
 def population_series(states: list[DensityMatrix], label: str) -> TimeSeries:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twophoton
 from twophoton.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE,
                            OUTDIR_ENV, main)
 
@@ -14,6 +19,13 @@ def read_series(path):
     header = path.read_text().splitlines()[0]
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     return header, data
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(twophoton.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, twophoton.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ---------------------------------------------------------------------------

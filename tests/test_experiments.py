@@ -76,8 +76,6 @@ def test_sweep_spec_validation():
         SweepSpec(**{**good, "values": (1.0, 3.0, 2.0)})
     with pytest.raises(ConfigurationError):
         SweepSpec(**{**good, "horizon": 0.0})
-    with pytest.raises(ConfigurationError):
-        SweepSpec(**{**good, "observable": "parity"})
 
 
 # ---------------------------------------------------------------------------

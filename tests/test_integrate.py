@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from twophoton import ConfigurationError, default_substep
+from twophoton import ConfigurationError, default_substep, time_grid
+from twophoton import integrate
 from twophoton.integrate import (propagate_grid, rk4_step, taylor_propagator,
                                  validate_grid)
 
@@ -56,6 +57,22 @@ def test_nonuniform_grid_supported():
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     assert np.max(np.abs(out[:, 0] - np.cos(t))) < 1e-12
     assert np.max(np.abs(out[:, 1] + np.sin(t))) < 1e-12
+
+
+@pytest.mark.parametrize("t,builds", [
+    (time_grid(600.0), 1),        # intervals differ by up to ~1e-13
+    ([0.0, 0.1, 0.3, 0.35, 1.0], 4),
+])
+def test_one_propagator_per_distinct_interval(monkeypatch, t, builds):
+    calls = []
+
+    def counting(a, h, order=4):
+        calls.append(h)
+        return taylor_propagator(a, h, order)
+
+    monkeypatch.setattr(integrate, "taylor_propagator", counting)
+    propagate_grid(np.zeros((1, 1)), t, np.ones(1), substep=1e-3)
+    assert len(calls) == builds
 
 
 def test_grid_validation():

@@ -4,7 +4,9 @@ import pytest
 from twophoton import (ConfigurationError, DensityMatrix, ModelParams,
                        NumericalInvariantError, embed_unitary_sector,
                        enumerate_basis, evolve_amplitudes, evolve_density,
-                       lindblad_rhs, population_series, two_photon_population)
+                       lindblad_rhs, population_series, time_grid,
+                       two_photon_population)
+from twophoton import integrate, lindblad
 
 DAMPED_PARAMS = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.55,
                    kappa_a=0.1, kappa_b=0.1)
@@ -30,6 +32,40 @@ def test_rhs_preserves_trace_and_hermiticity(kind, dim):
         deriv = lindblad_rhs(kind, p, rho)
         assert abs(np.trace(deriv)) < 1e-12
         assert np.max(np.abs(deriv - deriv.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("kind,dim", [("bimodal", 13), ("single_mode", 8)])
+def test_generator_matches_rhs(monkeypatch, kind, dim):
+    # evolve_density hands propagate_grid one generator built from lindblad_rhs
+    p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5, kappa_a=0.1,
+                    kappa_b=0.05 if kind == "bimodal" else 0.0)
+    generators = []
+
+    def capture(generator, t_grid, y0, substep=None):
+        generators.append(generator)
+        return integrate.propagate_grid(generator, t_grid, y0, substep=substep)
+
+    monkeypatch.setattr(lindblad, "propagate_grid", capture)
+    evolve_density(kind, p, [0.0, 0.1])
+    assert len(generators) == 1
+    rho = random_density(dim, np.random.default_rng(11))
+    expected = lindblad_rhs(kind, p, rho).ravel()
+    assert np.max(np.abs(generators[0] @ rho.ravel() - expected)) < 1e-12
+
+
+def test_uniform_grid_builds_one_propagator(monkeypatch):
+    original = integrate.taylor_propagator
+    builds = []
+
+    def counting(a, h, order=4):
+        builds.append(h)
+        return original(a, h, order)
+
+    monkeypatch.setattr(integrate, "taylor_propagator", counting)
+    evolve_density("single_mode", ModelParams(g2=2.0, delta_cap=-5.0,
+                                              delta_small=2.75, kappa_a=0.03),
+                   time_grid(5.0))
+    assert len(builds) == 1
 
 
 def test_photonless_state_is_dark_without_hamiltonian():
