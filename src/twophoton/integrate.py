@@ -9,11 +9,15 @@ For such systems the classical fourth-order Runge-Kutta step with step h is
 
     P4(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
 
-so the engine builds that one-substep matrix, raises it to the number of
-substeps per output interval with ``np.linalg.matrix_power``, and applies
-it sequentially, building one interval propagator per distinct interval
-length of the grid.  This keeps the integrator deterministic (no
-adaptivity), cheap, and bit-stable across repeat runs.
+so the engine builds that one-substep matrix and raises it to the number
+of substeps per output interval with ``np.linalg.matrix_power``, building
+one interval propagator per distinct interval length of the grid.  On a
+uniform grid the output is filled by doubling (a block of k known states
+times the k-th power of the propagator gives the next k), so nt points
+cost about log2(nt) matrix products rather than nt-1 Python-level steps;
+other grids apply their propagators one interval at a time.  This keeps
+the integrator deterministic (no adaptivity), cheap, and bit-stable
+across repeat runs.
 
 The default substep is deliberately conservative: the global error of RK4
 grows like t*h^4*|E|^5, so the step shrinks with the largest detuning.
@@ -86,6 +90,12 @@ def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
     built per group from the group's first interval.  A uniform grid (whose
     intervals differ only by rounding) therefore builds exactly one.
 
+    With a single group, the states are filled by doubling: once the first
+    k are known, the next k are those times P^k, and P^k is then squared,
+    so the grid takes ceil(log2(nt)) matrix products.  A grid with several
+    groups is stepped sequentially, one propagator application per
+    interval.
+
     Returns the (len(t_grid), dim) array of states.
     """
     t = validate_grid(t_grid)
@@ -106,7 +116,22 @@ def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
         nsub = max(1, math.ceil(dt[i] / substep))
         propagators.append(np.linalg.matrix_power(
             taylor_propagator(generator, dt[i] / nsub), nsub))
+    if len(propagators) == 1:
+        _fill_by_doubling(propagators[0], out)
+        return out
     for i, g in enumerate(group.tolist(), start=1):
         y = propagators[g] @ y
         out[i] = y
     return out
+
+
+def _fill_by_doubling(p: np.ndarray, out: np.ndarray) -> None:
+    """Fill out[1:] with out[i] = p^i @ out[0], doubling the known prefix."""
+    known, power = 1, p
+    while True:
+        n = min(known, out.shape[0] - known)
+        np.matmul(out[:n], power.T, out=out[known:known + n])
+        known += n
+        if known == out.shape[0]:
+            return
+        power = power @ power

@@ -59,6 +59,25 @@ def test_nonuniform_grid_supported():
     assert np.max(np.abs(out[:, 1] + np.sin(t))) < 1e-12
 
 
+@pytest.mark.parametrize("nt", [1, 2, 3, 4, 5, 1025])
+def test_doubling_matches_literal_stepping(nt):
+    # a uniform grid is filled by doubling; it must agree with applying the
+    # one interval propagator point by point, also at non-powers of two.
+    # The generator is not normal, so states grow: compare relative to them.
+    rng = np.random.default_rng(5)
+    gen = 0.3 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    y = rng.normal(size=5) + 1j * rng.normal(size=5)
+    h = 0.01
+    t = h * np.arange(nt)
+    out = propagate_grid(gen, t, y, substep=h / 4)
+    p = np.linalg.matrix_power(taylor_propagator(gen, h / 4), 4)
+    expected = [y]
+    for _ in range(nt - 1):
+        expected.append(p @ expected[-1])
+    expected = np.array(expected)
+    assert np.max(np.abs(out - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
 @pytest.mark.parametrize("t,builds", [
     (time_grid(600.0), 1),        # intervals differ by up to ~1e-13
     ([0.0, 0.1, 0.3, 0.35, 1.0], 4),

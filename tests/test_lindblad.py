@@ -192,6 +192,41 @@ def test_validate_flags_bad_matrices():
     assert exc.value.invariant == "density-matrix positivity"
 
 
+def test_validate_flags_nan_matrix():
+    basis = enumerate_basis("single_mode", damped=True)
+    nan = np.full((basis.dim, basis.dim), np.nan, dtype=complex)
+    with pytest.raises(NumericalInvariantError) as exc:
+        DensityMatrix(basis=basis, matrix=nan, time=0.0).validate()
+    assert exc.value.invariant == "density-matrix trace"
+
+
+@pytest.mark.parametrize("defects,invariant,index", [
+    ({}, None, None),
+    ({700: "hermiticity", 900: "trace"}, "density-matrix Hermiticity", 700),
+    ({650: "positivity", 700: "hermiticity"}, "density-matrix positivity", 650),
+])
+def test_batched_checks_keep_first_breach_order(defects, invariant, index):
+    # 1200 points span three check batches; the first breach in time order
+    # must raise, whichever batch it lies in and whatever follows it
+    rng = np.random.default_rng(3)
+    rhos = np.array([random_density(8, rng) for _ in range(1200)])
+    for i, kind in defects.items():
+        if kind == "hermiticity":
+            rhos[i, 0, 1] += 1e-3
+        elif kind == "trace":
+            rhos[i] *= 1.01
+        else:
+            rhos[i] = np.diag([1.01, -0.01, 0, 0, 0, 0, 0, 0])
+    t = np.linspace(0.0, 12.0, 1200)
+    if invariant is None:
+        lindblad._check_trajectory(rhos, t)
+        return
+    with pytest.raises(NumericalInvariantError) as exc:
+        lindblad._check_trajectory(rhos, t)
+    assert exc.value.invariant == invariant
+    assert exc.value.time == t[index]
+
+
 def test_bad_initial_shape_rejected():
     with pytest.raises(ConfigurationError):
         evolve_density("bimodal", DAMPED_PARAMS, [0.0, 1.0], initial=np.eye(6))

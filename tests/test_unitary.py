@@ -101,6 +101,18 @@ def test_coarse_substep_aborts_with_diagnostics():
     assert err.value.time is not None
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_norm_guard_rejects_nan_amplitudes():
+    # the substep is so coarse that the amplitudes overflow to NaN; a NaN
+    # drift must count as a breach, not slip past a ``>`` comparison
+    with pytest.raises(NumericalInvariantError) as err:
+        evolve_amplitudes("bimodal",
+                          ModelParams(g2=1.5, delta_cap=-10.0, delta_small=9.5),
+                          np.arange(0.0, 2000.0, 10.0), substep=10.0)
+    assert err.value.invariant == "amplitude norm"
+
+
 def test_unnormalized_initial_rejected():
     with pytest.raises(ConfigurationError):
         evolve_amplitudes("bimodal", P_RES, [0.0, 1.0],
