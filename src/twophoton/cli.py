@@ -68,9 +68,10 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve_params(args, cfg: dict) -> ModelParams:
-    fields = dict(cfg.get("params", {}))
+    fields = cfg.get("params", {})
     if not isinstance(fields, dict):
         raise ConfigurationError("config key 'params' must be an object")
+    fields = dict(fields)
     for key in PARAM_FIELDS:          # flat top-level keys also accepted
         if key in cfg:
             fields[key] = cfg[key]

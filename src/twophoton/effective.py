@@ -14,18 +14,25 @@ whose solution from c_i(0)=1 is the envelope
 G is the second-order two-photon coupling and Omega the effective
 detuning between the dressed levels; the two-photon resonance sits at
 Omega = 0, *shifted* from the bare condition delta_cap + delta_small = 0
-by the one-photon Stark shifts.  Three routes to H_eff are provided:
+by the one-photon Stark shifts.
 
-``effective_hamiltonian(form="resummed")``
+The matrix entries (h_ii, -G, h_ff) are written once per system, form and
+variant, in the tabulations behind ``effective_hamiltonian``:
+
+``form="resummed"``
     The closed-form matrix with resummed denominators (valid to fourth
     order in the couplings).
 
-``effective_hamiltonian(form="polynomial")``
+``form="polynomial"``
     The explicit fourth-order polynomial expansion (bimodal only).
 
-``resolvent_effective_hamiltonian``
-    An independent construction from projectors and resolvent operators,
-    used to validate the polynomial matrix term by term.
+Everything else is derived from those entries: ``reduced_rhs`` is
+-i H_eff c, and ``effective_g_omega`` reads G = -h_if and
+Omega = h_ii - h_ff off the resummed CONSISTENT entries.  The independent
+checks of that algebra are ``resolvent_effective_hamiltonian`` (a
+construction from projectors and resolvent operators, which validates the
+polynomial matrix term by term), the polynomial form itself, and the exact
+dynamics of the full model.
 
 Two formula variants circulate for a couple of the expressions; the
 ``LITERAL`` variant reproduces the commonly transcribed forms verbatim
@@ -216,6 +223,24 @@ def _single_mode_resummed(p: ModelParams, variant: str) -> tuple[float, float, f
     return h11, h14, h44
 
 
+def _entries(kind: SystemKind, params: ModelParams, form: str = RESUMMED,
+             variant: str = CONSISTENT) -> tuple[float, float, float]:
+    """The entries (h11, h14, h44) of H_eff; every route to H_eff uses these."""
+    _check_variant(variant)
+    if form == RESUMMED:
+        if kind is SystemKind.BIMODAL:
+            return _bimodal_resummed(params)
+        return _single_mode_resummed(params, variant)
+    if form == POLYNOMIAL:
+        if kind is not SystemKind.BIMODAL:
+            raise ConfigurationError(
+                "the fourth-order polynomial matrix is only tabulated for the "
+                "bimodal system")
+        return _bimodal_polynomial(params)
+    raise ConfigurationError(
+        f"form must be {RESUMMED!r} or {POLYNOMIAL!r}, got {form!r}")
+
+
 def effective_hamiltonian(kind: SystemKind | str, params: ModelParams,
                           form: str = RESUMMED,
                           variant: str = CONSISTENT) -> EffectiveTwoLevel:
@@ -227,21 +252,7 @@ def effective_hamiltonian(kind: SystemKind | str, params: ModelParams,
     power.
     """
     kind = SystemKind.coerce(kind)
-    _check_variant(variant)
-    if form == RESUMMED:
-        if kind is SystemKind.BIMODAL:
-            h11, h14, h44 = _bimodal_resummed(params)
-        else:
-            h11, h14, h44 = _single_mode_resummed(params, variant)
-    elif form == POLYNOMIAL:
-        if kind is not SystemKind.BIMODAL:
-            raise ConfigurationError(
-                "the fourth-order polynomial matrix is only tabulated for the "
-                "bimodal system")
-        h11, h14, h44 = _bimodal_polynomial(params)
-    else:
-        raise ConfigurationError(
-            f"form must be {RESUMMED!r} or {POLYNOMIAL!r}, got {form!r}")
+    h11, h14, h44 = _entries(kind, params, form, variant)
     matrix = np.array([[h11, h14], [h14, h44]])
     return EffectiveTwoLevel(matrix=matrix, big_g=abs(h14),
                              big_omega=h11 - h44, kind=kind, form=form,
@@ -250,65 +261,30 @@ def effective_hamiltonian(kind: SystemKind | str, params: ModelParams,
 
 def reduced_rhs(kind: SystemKind | str, params: ModelParams, c,
                 variant: str = CONSISTENT) -> np.ndarray:
-    """Equations of motion of the reduced pair (c_initial, c_two_photon).
+    """Equations of motion c' = -i H_eff c of the reduced pair.
 
-    Written out coefficient by coefficient (an independent code path from
-    ``effective_hamiltonian``; the two are cross-checked in tests).
+    ``c`` is (c_initial, c_two_photon); H_eff is the resummed
+    :func:`effective_hamiltonian` matrix for ``variant``.
     """
-    kind = SystemKind.coerce(kind)
-    _check_variant(variant)
     c = np.asarray(c, dtype=complex)
     if c.shape != (2,):
         raise ConfigurationError(f"reduced state must have shape (2,), got {c.shape}")
-    D, d, g1, g2 = params.delta_cap, params.delta_small, params.g1, params.g2
-    c1, c4 = c
-    if kind is SystemKind.BIMODAL:
-        den1 = _guard(D * D - 2 * g1 * g1, "detuning denominator D^2 - 2 g1^2", D * D)
-        den2 = _guard(d * d - 2 * g2 * g2, "detuning denominator d^2 - 2 g2^2", d * d)
-        coupling = 2 * g1 * g2 * (D / (D * D + 2 * g1 * g1)
-                                  + d / (d * d + 2 * g2 * g2))
-        dc1 = (-1j * (2 * g1**2 * D / den1 + 2 * g2**2 * d / den2) * c1
-               + 1j * coupling * c4)
-        dc4 = (1j * coupling * c1
-               + 1j * (D + d - 2 * g1**2 * d / den2 - 2 * g2**2 * D / den1) * c4)
-        return np.array([dc1, dc4])
-    _guard(D, "detuning D", 1.0)
-    _guard(d, "detuning d", 1.0)
-    if variant == CONSISTENT:
-        bracket = D / (D * D + 2 * g1 * g1) + d / (d * d + 2 * g2 * g2)
-    else:
-        bracket = (D / _guard(D + 2 * g1 * g1, "denominator D + 2 g1^2", D)
-                   + d / _guard(d + 2 * g2 * g2, "denominator d + 2 g2^2", d))
-    coupling = np.sqrt(2.0) * g1 * g2 * bracket
-    dc1 = -1j * (g1**2 / D + g2**2 / d) * c1 + 1j * coupling * c4
-    dc4 = 1j * coupling * c1 + 1j * (D + d + 2 * g1**2 / D + 2 * g2**2 / d) * c4
-    return np.array([dc1, dc4])
+    return -1j * (effective_hamiltonian(kind, params, variant=variant).matrix @ c)
 
 
 def effective_g_omega(kind: SystemKind | str, params: ModelParams) -> tuple[float, float]:
     """The scalar pair (G, Omega) of the two-level envelope.
 
-    G is the signed two-photon coupling, Omega the effective detuning; the
+    G = -h_if is the signed two-photon coupling and Omega = h_ii - h_ff the
+    effective detuning, both read off the resummed CONSISTENT entries of
+    :func:`effective_hamiltonian` (without building its matrix); the
     envelope depends only on G^2 and Omega.  Vanishing of both — which
     happens identically for equal couplings at the bare resonance
     delta_cap = -delta_small in the bimodal system — means destructive
     interference: no two-photon resonance at all.
     """
-    kind = SystemKind.coerce(kind)
-    D, d, g1, g2 = params.delta_cap, params.delta_small, params.g1, params.g2
-    if kind is SystemKind.BIMODAL:
-        big_g = 2 * g1 * g2 * (D / (D * D + 2 * g1 * g1)
-                               + d / (d * d + 2 * g2 * g2))
-        den1 = _guard(D * D - 2 * g1 * g1, "detuning denominator D^2 - 2 g1^2", D * D)
-        den2 = _guard(d * d - 2 * g2 * g2, "detuning denominator d^2 - 2 g2^2", d * d)
-        big_omega = D + d + 2 * (g1**2 - g2**2) * (D / den1 - d / den2)
-        return big_g, big_omega
-    _guard(D, "detuning D", 1.0)
-    _guard(d, "detuning d", 1.0)
-    big_g = np.sqrt(2.0) * g1 * g2 * (D / (D * D + 2 * g1 * g1)
-                                      + d / (d * d + 2 * g2 * g2))
-    big_omega = D + d + 3 * (g1**2 / D + g2**2 / d)
-    return float(big_g), float(big_omega)
+    h11, h14, h44 = _entries(SystemKind.coerce(kind), params)
+    return float(-h14), float(h11 - h44)
 
 
 def closed_form_probability(kind: SystemKind | str, params: ModelParams, t):

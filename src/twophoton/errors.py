@@ -34,7 +34,8 @@ class NumericalInvariantError(TwoPhotonError, RuntimeError):
     """A conserved quantity drifted past its tolerance during integration.
 
     Carries enough context to diagnose the run: the invariant name, the
-    worst observed defect, the tolerance, and the time at which it occurred.
+    defect at the first point in time that breaches, the tolerance, and
+    that time.
     """
 
     def __init__(self, invariant: str, defect: float, tolerance: float,

@@ -14,9 +14,10 @@ propagator the coherent sector uses.  ``lindblad_rhs`` stays the single
 home of the dissipator algebra; the matrix is derived from it mechanically,
 and stepping it is literal RK4 on rho by linearity.
 
-Trace, Hermiticity, and spectral positivity are checked at every output
-point, in batches of ``CHECK_CHUNK`` points (one stacked trace, Hermiticity
-maximum and ``eigvalsh`` per batch); the first breach in time order aborts
+Trace, Hermiticity, and spectral positivity are computed in one place,
+``_check_trajectory``, for a whole stack of matrices at a time (a single
+snapshot is checked as a stack of one).  It runs at every output point, in
+batches of ``CHECK_CHUNK`` points; the first breach in time order aborts
 the run, since a density matrix that has lost these properties no longer
 represents a physical state.
 """
@@ -57,61 +58,45 @@ class DensityMatrix:
 
     def validate(self) -> None:
         """Raise if trace, Hermiticity, or positivity are out of tolerance."""
-        _check_invariants(self.matrix, self.time)
-
-
-def _check_invariants(rho: np.ndarray, time: float) -> None:
-    # written as ``not defect <= tol`` so that a NaN defect is a breach
-    trace = np.trace(rho)
-    trace_defect = float(abs(trace.real - 1.0) + abs(trace.imag))
-    if not trace_defect <= TRACE_TOLERANCE:
-        raise NumericalInvariantError("density-matrix trace", trace_defect,
-                                      TRACE_TOLERANCE, time=time)
-    herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
-    if not herm_defect <= HERMITICITY_TOLERANCE:
-        raise NumericalInvariantError("density-matrix Hermiticity", herm_defect,
-                                      HERMITICITY_TOLERANCE, time=time)
-    smallest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if not smallest >= EIGENVALUE_FLOOR:
-        raise NumericalInvariantError("density-matrix positivity", smallest,
-                                      EIGENVALUE_FLOOR, time=time)
-
-
-def _first_breach(rhos: np.ndarray) -> int | None:
-    """Index of the first matrix in a stack that fails an invariant.
-
-    Computes the same quantities as :func:`_check_invariants`, stacked.
-    Only the matrices before the first trace or Hermiticity breach reach
-    ``eigvalsh``, so it never sees a non-finite matrix.
-    """
-    adjoint = rhos.conj().swapaxes(1, 2)
-    traces = np.trace(rhos, axis1=1, axis2=2)
-    bad = ~(np.abs(traces.real - 1.0) + np.abs(traces.imag) <= TRACE_TOLERANCE)
-    bad |= ~(np.abs(rhos - adjoint).max(axis=(1, 2)) <= HERMITICITY_TOLERANCE)
-    n = int(np.argmax(bad)) if bad.any() else len(rhos)
-    if n:
-        smallest = np.linalg.eigvalsh(0.5 * (rhos[:n] + adjoint[:n])).min(axis=1)
-        bad[:n] = ~(smallest >= EIGENVALUE_FLOOR)
-    return int(np.argmax(bad)) if bad.any() else None
+        _check_trajectory(self.matrix[np.newaxis], np.array([self.time]))
 
 
 def _check_trajectory(rhos: np.ndarray, t: np.ndarray) -> None:
     """Raise at the first point of a trajectory that fails an invariant.
 
-    Points are screened ``CHECK_CHUNK`` at a time; the first flagged one is
-    re-checked by :func:`_check_invariants`, which raises the same error, at
-    the same time, as checking every point in order would.  Should the
-    re-check pass (the two computations differing only by rounding),
-    screening resumes after that point.
+    ``rhos`` is an (nt, d, d) stack with times ``t``.  Each batch of
+    ``CHECK_CHUNK`` points gets one stacked trace, one stacked Hermiticity
+    maximum and one stacked ``eigvalsh``; the last sees only the matrices
+    before the batch's first trace or Hermiticity breach, so it never sees
+    a non-finite matrix.  At the failing point the trace is reported before
+    Hermiticity, and Hermiticity before positivity.  Defects are compared
+    as ``not defect <= tol``, so a NaN defect is a breach.
     """
-    start = 0
-    while start < t.size:
-        bad = _first_breach(rhos[start:start + CHECK_CHUNK])
-        if bad is None:
-            start += CHECK_CHUNK
-            continue
-        _check_invariants(rhos[start + bad], float(t[start + bad]))
-        start += bad + 1
+    for start in range(0, len(rhos), CHECK_CHUNK):
+        chunk = rhos[start:start + CHECK_CHUNK]
+        adjoint = chunk.conj().swapaxes(1, 2)
+        traces = np.trace(chunk, axis1=1, axis2=2)
+        trace_defect = np.abs(traces.real - 1.0) + np.abs(traces.imag)
+        herm_defect = np.abs(chunk - adjoint).max(axis=(1, 2))
+        bad = ~((trace_defect <= TRACE_TOLERANCE)
+                & (herm_defect <= HERMITICITY_TOLERANCE))
+        n = int(np.argmax(bad)) if bad.any() else len(chunk)
+        smallest = np.linalg.eigvalsh(0.5 * (chunk[:n] + adjoint[:n])).min(axis=1)
+        negative = ~(smallest >= EIGENVALUE_FLOOR)
+        if negative.any():
+            i = int(np.argmax(negative))
+            raise NumericalInvariantError("density-matrix positivity",
+                                          float(smallest[i]), EIGENVALUE_FLOOR,
+                                          time=float(t[start + i]))
+        if n < len(chunk):
+            time = float(t[start + n])
+            if not trace_defect[n] <= TRACE_TOLERANCE:
+                raise NumericalInvariantError("density-matrix trace",
+                                              float(trace_defect[n]),
+                                              TRACE_TOLERANCE, time=time)
+            raise NumericalInvariantError("density-matrix Hermiticity",
+                                          float(herm_defect[n]),
+                                          HERMITICITY_TOLERANCE, time=time)
 
 
 def lindblad_rhs(kind: SystemKind | str, params: ModelParams,

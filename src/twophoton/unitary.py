@@ -2,8 +2,9 @@
 
 The state |psi(t)> = sum_k c_k(t)|k> is integrated as the linear system
 c' = -iHc with the fixed-step propagator from :mod:`twophoton.integrate`.
-An independent eigendecomposition path (``expm_reference``) provides the
-exact solution for cross-checks; the engine aborts if the norm of the
+An independent eigendecomposition path (``expm_series``, and
+``expm_reference`` for one time) provides the exact solution for
+cross-checks; the engine aborts if the norm of the
 integrated amplitude vector drifts by more than a part in 10^6.
 """
 
@@ -94,7 +95,8 @@ def evolve_amplitudes(kind: SystemKind | str, params: ModelParams,
     NumericalInvariantError
         If the norm of the amplitude vector drifts from 1 by more than
         1e-6 anywhere on the output grid (the run is then untrustworthy —
-        typically a manually chosen substep that is far too coarse).
+        typically a manually chosen substep that is far too coarse).  The
+        error reports the drift and time of the first such point.
     """
     kind = SystemKind.coerce(kind)
     basis = enumerate_basis(kind, damped=False)
@@ -105,13 +107,13 @@ def evolve_amplitudes(kind: SystemKind | str, params: ModelParams,
     h = build_hamiltonian(kind, params, damped=False)
     values = propagate_grid(-1j * h, t_grid, c0, substep=substep)
 
-    norms = np.linalg.norm(values, axis=1)
-    drift = np.abs(norms - 1.0)
-    worst = int(np.argmax(drift))
-    if not drift[worst] <= NORM_TOLERANCE:      # a NaN drift is a breach too
+    drift = np.abs(np.linalg.norm(values, axis=1) - 1.0)
+    breach = ~(drift <= NORM_TOLERANCE)         # a NaN drift is a breach too
+    if breach.any():
+        first = int(np.argmax(breach))
         raise NumericalInvariantError(
-            "amplitude norm", float(drift[worst]), NORM_TOLERANCE,
-            time=float(np.asarray(t_grid, dtype=float)[worst]))
+            "amplitude norm", float(drift[first]), NORM_TOLERANCE,
+            time=float(np.asarray(t_grid, dtype=float)[first]))
     return TimeSeries(times=np.asarray(t_grid, dtype=float), values=values,
                       basis=basis)
 
@@ -120,14 +122,10 @@ def expm_reference(kind: SystemKind | str, params: ModelParams, t: float,
                    initial=None) -> np.ndarray:
     """Exact amplitudes at one time via eigendecomposition of H.
 
-    Independent of the stepping integrator; used as its oracle.
+    Independent of the stepping integrator; used as its oracle.  This is
+    :func:`expm_series` on the one-point grid ``[t]``.
     """
-    kind = SystemKind.coerce(kind)
-    basis = enumerate_basis(kind, damped=False)
-    c0 = _initial_vector(basis, initial)
-    h = build_hamiltonian(kind, params, damped=False)
-    energies, vectors = np.linalg.eigh(h)
-    return (vectors * np.exp(-1j * energies * t)) @ (vectors.T @ c0)
+    return expm_series(kind, params, [t], initial).values[0]
 
 
 def expm_series(kind: SystemKind | str, params: ModelParams, t_grid,

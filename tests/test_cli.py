@@ -91,9 +91,11 @@ def test_flags_override_config(tmp_path):
     assert manifest["horizon"] == 5.0
 
 
-def test_unknown_param_key_rejected(tmp_path):
+@pytest.mark.parametrize("params", [{"g3": 1.0}, [1, 2]],
+                         ids=["unknown_key", "not_an_object"])
+def test_unknown_param_key_rejected(tmp_path, params):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"params": {"g3": 1.0}, "horizon": 5}))
+    cfg.write_text(json.dumps({"params": params, "horizon": 5}))
     assert main(["evolve", "--config", str(cfg),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
 

@@ -263,10 +263,16 @@ def test_interference_pole():
 # singular parameter handling
 # ---------------------------------------------------------------------------
 
-def test_resummed_singular_at_one_photon_crossing():
+@pytest.mark.parametrize("route", [
+    effective_hamiltonian,
+    lambda kind, p: reduced_rhs(kind, p, [1.0, 0.0]),
+    effective_g_omega,
+], ids=["effective_hamiltonian", "reduced_rhs", "effective_g_omega"])
+def test_resummed_singular_at_one_photon_crossing(route):
+    # every route to the effective model shares the resummed guards
     p = ModelParams(g2=1.5, delta_cap=np.sqrt(2.0), delta_small=7.0)
     with pytest.raises(SingularityError):
-        effective_hamiltonian("bimodal", p)
+        route("bimodal", p)
 
 
 def test_polynomial_singular_at_zero_detuning():

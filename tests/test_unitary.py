@@ -111,6 +111,9 @@ def test_norm_guard_rejects_nan_amplitudes():
                           ModelParams(g2=1.5, delta_cap=-10.0, delta_small=9.5),
                           np.arange(0.0, 2000.0, 10.0), substep=10.0)
     assert err.value.invariant == "amplitude norm"
+    # the drift is already ~2e6 at the first step; report that, not the
+    # first NaN further down the grid
+    assert err.value.time == 10.0
 
 
 def test_unnormalized_initial_rejected():
