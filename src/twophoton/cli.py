@@ -10,10 +10,15 @@ spectrum    coherent-sector eigenvalues and line spacings -> CSV
 selfcheck   fast engine cross-validations
 
 Runs are configured by a JSON file (--config) mirroring the library's
-parameter names; individual flags override file values.  Output locations
+parameter names; individual flags override file values.  Numeric inputs
+that are not finite numbers are configuration errors.  Output locations
 resolve as --out, then $TWOPHOTON_OUTDIR, then the working directory.
-Numbers are written with 15 significant digits so repeat runs are
-byte-identical.
+
+Numbers are written with 15 significant digits (``%.15g``, the same bytes
+as ``f"{float(x):.15g}"``), so repeat runs are byte-identical.  Files are
+formatted a whole column at a time: each writer builds a ``%.15g`` template
+for its file and fills it from one flat float list, and a scan formats its
+time column once and reuses it for every row on the same grid.
 
 Exit codes: 0 success, 1 usage error, 2 numerical invariant breach,
 3 configuration error.
@@ -47,9 +52,40 @@ EXIT_CONFIG = 3
 
 OUTDIR_ENV = "TWOPHOTON_OUTDIR"
 
+NUMBER = "%.15g"    # 15 significant digits; the same bytes as f"{x:.15g}"
+
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.15g}"
+    return NUMBER % float(x)
+
+
+def _fill(template: str, values) -> str:
+    """Fill the ``%.15g`` cells of ``template``, in order, from ``values``.
+
+    This is where every CSV number is formatted: the whole column (or
+    table, raveled row by row) goes through one ``%`` in C.
+    """
+    return template % tuple(np.asarray(values, dtype=float).ravel().tolist())
+
+
+def _write_text(path: Path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _number(value, what: str, ndim: int = 0):
+    """``value`` as a finite float (``ndim`` 0) or 1-D float array (``ndim`` 1).
+
+    Anything else raises ``ConfigurationError`` with a one-line message.
+    """
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.ndim != ndim or not np.all(np.isfinite(array)):
+        shape = "a finite number" if ndim == 0 else "a list of finite numbers"
+        raise ConfigurationError(f"{what} must be {shape}, got {value!r}")
+    return float(array) if ndim == 0 else array
 
 
 def _load_config(path: str | None) -> dict:
@@ -98,6 +134,11 @@ def _resolve_scalar(args, cfg: dict, key: str, default=None):
     return value
 
 
+def _resolve_number(args, cfg: dict, key: str, default=None) -> float | None:
+    value = _resolve_scalar(args, cfg, key, default)
+    return None if value is None else _number(value, key)
+
+
 def _resolve_outdir(args) -> Path:
     out = getattr(args, "out", None) or os.environ.get(OUTDIR_ENV) or "."
     path = Path(out)
@@ -120,7 +161,8 @@ def _resolve_axis_values(args, cfg: dict) -> np.ndarray:
             "scan needs axis values: --start/--stop/--step or config 'values'")
     if isinstance(values, dict):
         try:
-            start, stop, step = (float(values[k]) for k in ("start", "stop", "step"))
+            start, stop, step = (_number(values[k], f"values {k}")
+                                 for k in ("start", "stop", "step"))
         except KeyError as exc:
             raise ConfigurationError(
                 f"values object needs start/stop/step, missing {exc}") from None
@@ -128,14 +170,20 @@ def _resolve_axis_values(args, cfg: dict) -> np.ndarray:
             raise ConfigurationError("axis range needs step > 0 and stop > start")
         n = int(round((stop - start) / step))
         return start + step * np.arange(n + 1)
-    return np.asarray(values, dtype=float)
+    return _number(values, "values", ndim=1)
 
 
-def _write_series_csv(path: Path, times, values) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("g1_t,value\n")
-        for t, v in zip(times, values):
-            fh.write(f"{_fmt(t)},{_fmt(v)}\n")
+def _series_template(times) -> str:
+    """The body of a ``g1_t,value`` file on ``times``, values left as cells.
+
+    Each time is formatted here; ``%%`` keeps a ``%.15g`` cell per value.
+    """
+    return _fill(f"{NUMBER},%{NUMBER}\n" * len(times), times)
+
+
+def _write_series_csv(path: Path, template: str, values) -> None:
+    """Write one series; ``template`` is ``_series_template`` of its times."""
+    _write_text(path, "g1_t,value\n" + _fill(template, values))
 
 
 def _write_manifest(outdir: Path, command: str, kind: SystemKind,
@@ -162,19 +210,19 @@ def _cmd_evolve(args) -> int:
     cfg = _load_config(args.config)
     kind = _resolve_kind(args, cfg)
     params = _resolve_params(args, cfg)
-    horizon = _resolve_scalar(args, cfg, "horizon")
+    horizon = _resolve_number(args, cfg, "horizon")
     if horizon is None:
         horizon = default_horizon(kind, params)
-    substep = _resolve_scalar(args, cfg, "substep")
+    substep = _resolve_number(args, cfg, "substep")
     outdir = _resolve_outdir(args)
 
-    grid = time_grid(float(horizon))
+    grid = time_grid(horizon)
     series = two_photon_probability(
         evolve_amplitudes(kind, params, grid, substep=substep))
     out = outdir / "evolve.csv"
-    _write_series_csv(out, series.times, series.values)
+    _write_series_csv(out, _series_template(series.times), series.values)
     _write_manifest(outdir, "evolve", kind, params, [out.name],
-                    horizon=float(horizon), substep=substep)
+                    horizon=horizon, substep=substep)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -183,19 +231,19 @@ def _cmd_master(args) -> int:
     cfg = _load_config(args.config)
     kind = _resolve_kind(args, cfg)
     params = _resolve_params(args, cfg)
-    horizon = _resolve_scalar(args, cfg, "horizon", DEFAULT_HORIZON)
-    substep = _resolve_scalar(args, cfg, "substep")
+    horizon = _resolve_number(args, cfg, "horizon", DEFAULT_HORIZON)
+    substep = _resolve_number(args, cfg, "substep")
     state = _resolve_scalar(args, cfg, "state")
     outdir = _resolve_outdir(args)
 
-    grid = time_grid(float(horizon))
+    grid = time_grid(horizon)
     states = evolve_density(kind, params, grid, substep=substep)
     series = (population_series(states, state) if state
               else two_photon_population(states))
     out = outdir / "master.csv"
-    _write_series_csv(out, series.times, series.values)
+    _write_series_csv(out, _series_template(series.times), series.values)
     _write_manifest(outdir, "master", kind, params, [out.name],
-                    horizon=float(horizon), substep=substep,
+                    horizon=horizon, substep=substep,
                     observable=(f"population:{state}" if state
                                 else "two_photon_population"))
     print(f"wrote {out}")
@@ -216,10 +264,9 @@ def _write_summary_csv(path: Path, rows: list[dict]) -> None:
     if not rows:
         raise ConfigurationError("no sweep rows to summarize")
     keys = list(rows[0])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[k]) for k in keys) + "\n")
+    template = (",".join([NUMBER] * len(keys)) + "\n") * len(rows)
+    _write_text(path, ",".join(keys) + "\n"
+                + _fill(template, [[row[k] for k in keys] for row in rows]))
 
 
 def _cmd_scan(args) -> int:
@@ -227,8 +274,8 @@ def _cmd_scan(args) -> int:
     kind = _resolve_kind(args, cfg)
     params = _resolve_params(args, cfg)
     axis = _resolve_scalar(args, cfg, "axis", "delta_small")
-    horizon = _resolve_scalar(args, cfg, "horizon", DEFAULT_HORIZON)
-    substep = _resolve_scalar(args, cfg, "substep")
+    horizon = _resolve_number(args, cfg, "horizon", DEFAULT_HORIZON)
+    substep = _resolve_number(args, cfg, "substep")
     outdir = _resolve_outdir(args)
 
     if axis == "kappa":
@@ -236,31 +283,34 @@ def _cmd_scan(args) -> int:
         if kappas is None:
             kappas = _resolve_axis_values(args, cfg)
         else:
-            kappas = np.asarray(
-                [float(k) for k in (kappas.split(",") if isinstance(kappas, str)
-                                    else kappas)], dtype=float)
+            kappas = _number(kappas.split(",") if isinstance(kappas, str)
+                             else kappas, "kappas", ndim=1)
         result = damping_sweep(kind, params, kappas=kappas,
-                               horizon=float(horizon), substep=substep)
+                               horizon=horizon, substep=substep)
         prefix = "master_kappa"
         summary_name = "damping_summary.csv"
     else:
         values = _resolve_axis_values(args, cfg)
         spec = SweepSpec(kind=kind, params=params, axis=axis,
-                         values=tuple(values), horizon=float(horizon))
+                         values=tuple(values), horizon=horizon)
         result = scan_two_photon(spec, substep=substep)
         prefix = f"scan_{axis}"
         summary_name = "scan_summary.csv"
 
     outputs = []
+    grid = None
     for i, row in enumerate(result.rows):
+        if grid is None or not np.array_equal(row.series.times, grid):
+            grid = row.series.times
+            template = _series_template(grid)
         name = f"{prefix}_row{i:03d}.csv"
-        _write_series_csv(outdir / name, row.series.times, row.series.values)
+        _write_series_csv(outdir / name, template, row.series.values)
         outputs.append(name)
     summary = outdir / summary_name
     _write_summary_csv(summary, _summary_rows(result))
     outputs.append(summary.name)
     _write_manifest(outdir, "scan", kind, params, outputs,
-                    horizon=float(horizon), axis=axis,
+                    horizon=horizon, axis=axis,
                     provenance=result.provenance)
     best = result.argmax_row()
     print(f"wrote {len(outputs)} files to {outdir}")
@@ -277,15 +327,17 @@ def _cmd_resonance(args) -> int:
     if interval is None:
         raise ConfigurationError(
             "resonance needs a search interval: --interval LO HI or config 'interval'")
-    lo, hi = (float(interval[0]), float(interval[1]))
-    scan_step = float(_resolve_scalar(args, cfg, "scan_step", 0.05))
-    horizon = _resolve_scalar(args, cfg, "horizon")
-    substep = _resolve_scalar(args, cfg, "substep")
+    bounds = _number(interval, "interval", ndim=1)
+    if bounds.shape != (2,):
+        raise ConfigurationError(f"interval must be [LO, HI], got {interval!r}")
+    lo, hi = bounds.tolist()
+    scan_step = _resolve_number(args, cfg, "scan_step", 0.05)
+    horizon = _resolve_number(args, cfg, "horizon")
+    substep = _resolve_number(args, cfg, "substep")
     outdir = _resolve_outdir(args)
 
     report = resonance_report(kind, params, (lo, hi), scan_step=scan_step,
-                              horizon=None if horizon is None else float(horizon),
-                              substep=substep)
+                              horizon=horizon, substep=substep)
     payload = {
         "kind": kind.value,
         "interval": [lo, hi],
@@ -321,12 +373,12 @@ def _cmd_spectrum(args) -> int:
 
     eigenvalues, lines = spectrum_lines(params, kind)
     out = outdir / "spectrum.csv"
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("quantity,index,value\n")
-        for i, e in enumerate(eigenvalues):
-            fh.write(f"eigenvalue,{i},{_fmt(e)}\n")
-        for i, line in enumerate(lines):
-            fh.write(f"line,{i},{_fmt(line)}\n")
+    template = "".join(f"{quantity},{i},{NUMBER}\n"
+                       for quantity, column in (("eigenvalue", eigenvalues),
+                                                ("line", lines))
+                       for i in range(len(column)))
+    _write_text(out, "quantity,index,value\n"
+                + _fill(template, np.concatenate([eigenvalues, lines])))
     big_g, big_omega = effective_g_omega(kind, params)
     _write_manifest(outdir, "spectrum", kind, params, [out.name],
                     effective_g=big_g, effective_omega=big_omega)

@@ -30,6 +30,7 @@ DEFAULT_HORIZON = 25.0
 FIRST_WINDOW = (0.0, 25.0)
 LATE_WINDOW = (25.0, 60.0)
 MAX_DEFAULT_HORIZON = 2000.0
+MAX_GRID_POINTS = 1_000_000     # 8 MB of times; a horizon of 10^4 at the 0.01 step
 
 SCAN_AXES = ("delta_small", "delta_cap")
 
@@ -43,11 +44,19 @@ def engine_version() -> str:
 
 
 def time_grid(horizon: float, step: float = PEAK_GRID_STEP) -> np.ndarray:
-    """Uniform output grid [0, horizon] with the standard peak-detection step."""
+    """Uniform output grid [0, horizon] with the standard peak-detection step.
+
+    The grid may hold at most ``MAX_GRID_POINTS`` points; a longer horizon
+    is a configuration error, raised before anything is allocated.
+    """
     if horizon <= 0:
         raise ConfigurationError(f"time horizon must be positive, got {horizon}")
     if step <= 0:
         raise ConfigurationError(f"grid step must be positive, got {step}")
+    if not horizon / step + 1 <= MAX_GRID_POINTS:    # NaN and inf fail too
+        raise ConfigurationError(
+            f"horizon {horizon} at step {step} must give a finite grid of "
+            f"at most {MAX_GRID_POINTS} grid points")
     n = int(round(horizon / step))
     if n < 1:
         raise ConfigurationError(

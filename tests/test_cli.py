@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 import twophoton
+import twophoton.cli as cli
 from twophoton.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE,
                            OUTDIR_ENV, main)
+from twophoton.unitary import TimeSeries
 
 EVOLVE_ARGS = ["evolve", "--g2", "1.5", "--delta-cap", "-5",
                "--delta-small", "3.55", "--horizon", "5"]
@@ -47,6 +50,59 @@ def test_evolve_writes_csv_and_manifest(tmp_path):
     assert manifest["params"]["delta_small"] == 3.55
     assert manifest["outputs"] == ["evolve.csv"]
     assert manifest["horizon"] == 5.0
+
+
+def per_value(*columns):
+    """Rows formatted one value at a time: the byte contract of every CSV."""
+    return "".join(",".join(f"{float(x):.15g}" for x in row) + "\n"
+                   for row in zip(*columns))
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-16, 0.1 + 0.2, 1e16, 12345678901234567.0,
+               42.0, 0.999999999999999, 0.9999999999999999, 1 / 3,
+               float("nan"), float("-inf")]
+
+
+def test_csv_writers_match_per_value_formatting(tmp_path):
+    times = 0.01 * np.arange(len(EDGE_VALUES))
+    values = np.array(EDGE_VALUES)
+    path = tmp_path / "series.csv"
+    cli._write_series_csv(path, cli._series_template(times), values)
+    assert path.read_text() == "g1_t,value\n" + per_value(times, values)
+
+    rows = [{"axis": a, "peak_value": b, "peak_time": c}
+            for a, b, c in zip(values, values[::-1], times)]
+    path = tmp_path / "summary.csv"
+    cli._write_summary_csv(path, rows)
+    assert path.read_text() == ("axis,peak_value,peak_time\n"
+                                + per_value(values, values[::-1], times))
+
+
+@pytest.mark.parametrize("grids", ["shared", "distinct"])
+def test_scan_rows_match_per_value_formatting(tmp_path, monkeypatch, grids):
+    results = []
+
+    def scan(spec, substep=None):
+        result = twophoton.scan_two_photon(spec, substep=substep)
+        if grids == "distinct":     # row 1 ends early; row 2 is back on the grid
+            row = result.rows[1]
+            short = TimeSeries(row.series.times[:-7], row.series.values[:-7])
+            rows = list(result.rows)
+            rows[1] = dataclasses.replace(row, series=short)
+            result = dataclasses.replace(result, rows=tuple(rows))
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(cli, "scan_two_photon", scan)
+    assert main(["scan", "--g2", "1.5", "--delta-cap", "-5",
+                 "--start", "3.5", "--stop", "3.6", "--step", "0.05",
+                 "--horizon", "5", "--out", str(tmp_path)]) == EXIT_OK
+    [result] = results
+    assert len(result.rows) == 3
+    for i, row in enumerate(result.rows):
+        text = (tmp_path / f"scan_delta_small_row{i:03d}.csv").read_text()
+        assert text == "g1_t,value\n" + per_value(row.series.times,
+                                                   row.series.values)
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
@@ -98,6 +154,27 @@ def test_unknown_param_key_rejected(tmp_path, params):
     cfg.write_text(json.dumps({"params": params, "horizon": 5}))
     assert main(["evolve", "--config", str(cfg),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, cfg, flags", [
+    ("scan", {"horizon": "abc"}, []),
+    ("scan", {"values": {"start": "a", "stop": 3.6, "step": 0.05}}, []),
+    ("scan", {"values": [1, "x"]}, []),
+    ("scan", {"substep": "x"}, []),
+    ("resonance", {"interval": 5}, []),
+    ("scan", {}, ["--axis", "kappa", "--kappas", "0,x"]),
+], ids=["horizon", "values_start", "values_list", "substep", "interval",
+        "kappas"])
+def test_non_numeric_input_exits_three(tmp_path, capsys, command, cfg, flags):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"g2": 1.5, "delta_cap": -5.0,
+                                "delta_small": 3.5, "horizon": 1.0,
+                                "values": [3.5], **cfg}))
+    assert main([command, "--config", str(path), *flags,
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
 
 
 def test_missing_config_file(tmp_path):

@@ -7,6 +7,7 @@ from twophoton import (ConfigurationError, ModelParams, SweepSpec,
                        damping_sweep, default_horizon, effective_g_omega,
                        envelope_compare, resonance_report, scan_two_photon,
                        time_grid)
+from twophoton.experiments import MAX_DEFAULT_HORIZON, MAX_GRID_POINTS
 
 SCAN_PARAMS = ModelParams(g2=1.5, delta_cap=-5.0)
 
@@ -37,6 +38,21 @@ def test_time_grid_validation():
         time_grid(25.0, step=0.0)
     with pytest.raises(ConfigurationError):
         time_grid(0.001)   # shorter than one step
+
+
+def test_time_grid_point_budget(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("time_grid allocated before checking its budget")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "linspace", no_allocation)
+        for horizon in (1e9, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="grid points"):
+                time_grid(horizon)
+        with pytest.raises(ConfigurationError, match="grid points"):
+            time_grid(float(MAX_GRID_POINTS), step=1.0)
+    assert len(time_grid(MAX_GRID_POINTS - 1.0, step=1.0)) == MAX_GRID_POINTS
+    assert len(time_grid(MAX_DEFAULT_HORIZON)) == 200_001
 
 
 def test_default_horizon_tracks_resonance_period():
