@@ -197,9 +197,8 @@ def _write_manifest(outdir: Path, command: str, kind: SystemKind,
         "outputs": outputs,
     }
     manifest.update(extra)
-    with open(outdir / "run_manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(outdir / "run_manifest.json",
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +351,15 @@ def _cmd_resonance(args) -> int:
         "horizon": report.scan.provenance["horizon"],
         "engine": engine_version(),
     }
+    text = json.dumps(payload, indent=2, sort_keys=True)
     out = outdir / "resonance.json"
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(out, text + "\n")
     summary = outdir / "resonance_scan_summary.csv"
     _write_summary_csv(summary, _summary_rows(report.scan))
     _write_manifest(outdir, "resonance", kind, params,
                     [out.name, summary.name],
                     provenance=report.scan.provenance)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(text)
     return EXIT_OK
 
 
