@@ -24,8 +24,8 @@ from .experiments import (EnvelopeComparison, ResonanceReport, SweepResult,
                           envelope_compare, resonance_report, scan_two_photon,
                           time_grid)
 from .integrate import default_substep
-from .lindblad import (DensityMatrix, evolve_density, lindblad_rhs,
-                       population_series, two_photon_population)
+from .lindblad import (DensityMatrix, DensityTrajectory, evolve_density,
+                       lindblad_rhs, population_series, two_photon_population)
 from .operators import (build_hamiltonian, build_jump_operators,
                         embed_unitary_sector, excitation_numbers,
                         spectrum_lines)
@@ -33,9 +33,13 @@ from .params import ModelParams, SystemKind
 from .unitary import (TimeSeries, amplitude_rhs, evolve_amplitudes,
                       expm_reference, expm_series, two_photon_probability)
 
-from .experiments import engine_version as _engine_version
 
-__version__ = _engine_version()
+def __getattr__(name: str):
+    if name == "__version__":     # looked up on first use: it loads importlib.metadata
+        from .experiments import engine_version
+        return engine_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Basis", "BasisState", "enumerate_basis",
@@ -51,8 +55,8 @@ __all__ = [
     "SweepSpec", "damping_sweep", "default_horizon", "envelope_compare",
     "resonance_report", "scan_two_photon", "time_grid",
     "default_substep",
-    "DensityMatrix", "evolve_density", "lindblad_rhs", "population_series",
-    "two_photon_population",
+    "DensityMatrix", "DensityTrajectory", "evolve_density", "lindblad_rhs",
+    "population_series", "two_photon_population",
     "build_hamiltonian", "build_jump_operators", "embed_unitary_sector",
     "excitation_numbers", "spectrum_lines",
     "ModelParams", "SystemKind",

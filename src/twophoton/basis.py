@@ -70,9 +70,6 @@ class BasisState:
         photons = f"{self.n_a}" if self.n_b is None else f"{self.n_a}{self.n_b}"
         return f"{atoms},{photons}"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.label
-
 
 @dataclass(frozen=True)
 class Basis:

@@ -37,7 +37,7 @@ import numpy as np
 from .effective import effective_g_omega
 from .errors import (ConfigurationError, NumericalInvariantError,
                      TwoPhotonError)
-from .experiments import (DEFAULT_HORIZON, PEAK_GRID_STEP, SweepSpec,
+from .experiments import (DEFAULT_HORIZON, PEAK_GRID_STEP, SweepSpec, axis_grid,
                           damping_sweep, default_horizon, engine_version,
                           resonance_report, scan_two_photon, time_grid)
 from .lindblad import evolve_density, population_series, two_photon_population
@@ -166,10 +166,7 @@ def _resolve_axis_values(args, cfg: dict) -> np.ndarray:
         except KeyError as exc:
             raise ConfigurationError(
                 f"values object needs start/stop/step, missing {exc}") from None
-        if step <= 0 or stop <= start:
-            raise ConfigurationError("axis range needs step > 0 and stop > start")
-        n = int(round((stop - start) / step))
-        return start + step * np.arange(n + 1)
+        return axis_grid(start, stop, step)
     return _number(values, "values", ndim=1)
 
 
@@ -401,12 +398,14 @@ def _cmd_selfcheck(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, evolves: bool = True) -> None:
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--kind", choices=[k.value for k in SystemKind])
     sub.add_argument("--out", help=f"output directory (default ${OUTDIR_ENV} or .)")
     for key in PARAM_FIELDS:
         sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
+    for key in ("horizon", "substep") if evolves else ():
+        sub.add_argument(f"--{key}", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,15 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     evolve = commands.add_parser(
         "evolve", help="coherent two-photon probability series to CSV")
     _add_common(evolve)
-    evolve.add_argument("--horizon", type=float)
-    evolve.add_argument("--substep", type=float)
     evolve.set_defaults(func=_cmd_evolve)
 
     master = commands.add_parser(
         "master", help="damped two-photon population series to CSV")
     _add_common(master)
-    master.add_argument("--horizon", type=float)
-    master.add_argument("--substep", type=float)
     master.add_argument("--state", help="emit this state's population instead")
     master.set_defaults(func=_cmd_master)
 
@@ -438,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--stop", type=float)
     scan.add_argument("--step", type=float)
     scan.add_argument("--kappas", help="comma-separated damping ladder")
-    scan.add_argument("--horizon", type=float)
-    scan.add_argument("--substep", type=float)
     scan.set_defaults(func=_cmd_scan)
 
     resonance = commands.add_parser(
@@ -448,13 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     resonance.add_argument("--interval", nargs=2, type=float,
                            metavar=("LO", "HI"))
     resonance.add_argument("--scan-step", dest="scan_step", type=float)
-    resonance.add_argument("--horizon", type=float)
-    resonance.add_argument("--substep", type=float)
     resonance.set_defaults(func=_cmd_resonance)
 
     spectrum = commands.add_parser(
         "spectrum", help="coherent-sector eigenvalues and line spacings")
-    _add_common(spectrum)
+    _add_common(spectrum, evolves=False)
     spectrum.set_defaults(func=_cmd_spectrum)
 
     selfcheck = commands.add_parser(

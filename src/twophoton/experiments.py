@@ -64,6 +64,19 @@ def time_grid(horizon: float, step: float = PEAK_GRID_STEP) -> np.ndarray:
     return np.linspace(0.0, n * step, n + 1)
 
 
+def axis_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Axis start, start + step, ... to stop: at most ``MAX_GRID_POINTS``,
+    checked before anything is allocated."""
+    if not (step > 0 and stop > start):
+        raise ConfigurationError("axis range needs step > 0 and stop > start")
+    n = (stop - start) / step
+    if not n + 1 <= MAX_GRID_POINTS:
+        raise ConfigurationError(
+            f"axis range {start}..{stop} at step {step} must give at most "
+            f"{MAX_GRID_POINTS} grid points")
+    return start + step * np.arange(int(round(n)) + 1)
+
+
 def default_horizon(kind: SystemKind | str, params: ModelParams) -> float:
     """Default evolution horizon in units of 1/g1.
 
@@ -340,10 +353,8 @@ def resonance_report(kind: SystemKind | str, params: ModelParams,
         midpoint = params.replace(delta_small=0.5 * (lo + hi))
         horizon = default_horizon(kind, midpoint)
 
-    n = int(round((hi - lo) / scan_step))
-    values = lo + scan_step * np.arange(n + 1)
     spec = SweepSpec(kind=kind, params=params, axis="delta_small",
-                     values=tuple(values), horizon=horizon)
+                     values=tuple(axis_grid(lo, hi, scan_step)), horizon=horizon)
     scan = scan_two_photon(spec, substep=substep)
     best = scan.argmax_row()
 

@@ -46,20 +46,6 @@ def default_substep(delta_cap: float, delta_small: float) -> float:
     return min(SUBSTEP_CEILING, SUBSTEP_DETUNING_BUDGET / scale)
 
 
-def rk4_step(f, y, h: float):
-    """One literal Runge-Kutta-4 step of y' = f(y) (autonomous).
-
-    Not used by the engine: it is the literal-RK4 reference that
-    ``test_taylor_propagator_equals_literal_rk4`` compares
-    :func:`taylor_propagator` against.
-    """
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def taylor_propagator(a: np.ndarray, h: float, order: int = 4) -> np.ndarray:
     """P_order(h*a): the RK-matched polynomial approximation of expm(h*a)."""
     out = np.eye(a.shape[0], dtype=a.dtype)

@@ -6,20 +6,16 @@ The master equation evolved here is
                                        + rho c_m^+ c_m),
 
 with one annihilator per cavity mode, so each mode loses photons at rate
-2*kappa_m.  The generator is linear, so each run builds it once as a
-matrix acting on the flattened density matrix vec(rho): its columns are
-``lindblad_rhs`` applied to the d^2 matrix units.  That matrix goes to
-:func:`twophoton.integrate.propagate_grid`, the same fixed-step RK4
-propagator the coherent sector uses.  ``lindblad_rhs`` stays the single
-home of the dissipator algebra; the matrix is derived from it mechanically,
-and stepping it is literal RK4 on rho by linearity.
-
-Trace, Hermiticity, and spectral positivity are computed in one place,
-``_check_trajectory``, for a whole stack of matrices at a time (a single
-snapshot is checked as a stack of one).  It runs at every output point, in
-batches of ``CHECK_CHUNK`` points; the first breach in time order aborts
-the run, since a density matrix that has lost these properties no longer
-represents a physical state.
+2*kappa_m.  Each run builds the generator once, as a matrix on vec(rho),
+from ``lindblad_rhs`` (the one home of the dissipator algebra).  H keeps
+the excitation number N and each jump lowers it by one, so the generator
+keeps dN = N(i) - N(j) of each entry rho[i, j].  Each dN sector the
+initial state occupies (the default state: dN = 0 only, 81 of 169 entries
+bimodal, 26 of 64 single-mode) is stepped on its own block of the
+generator by :func:`twophoton.integrate.propagate_grid`; none is derived
+from another by conjugation, so the Hermiticity check still tests the
+dynamics.  ``_check_trajectory`` checks every output point; the first
+breach in time order aborts the run.
 """
 
 from __future__ import annotations
@@ -31,16 +27,15 @@ import numpy as np
 from .basis import Basis, enumerate_basis
 from .errors import ConfigurationError, NumericalInvariantError
 from .integrate import default_substep, propagate_grid, validate_grid
-from .operators import build_hamiltonian, build_jump_operators
+from .operators import build_hamiltonian, build_jump_operators, excitation_numbers
 from .params import ModelParams, SystemKind
 from .unitary import TimeSeries
 
 TRACE_TOLERANCE = 1e-8
 HERMITICITY_TOLERANCE = 1e-8
 EIGENVALUE_FLOOR = -1e-6
-# Output points checked per batch: keeps the batch temporaries near 1.4 MB
-# for the 13-state bimodal sector.
-CHECK_CHUNK = 512
+CHECK_CHUNK = 512       # points per check batch: ~1.4 MB of temporaries at d = 13
+SCREEN_MARGIN = 1e-9    # Cholesky screen margin, far above its ~d*1e-16 rounding
 
 
 @dataclass(frozen=True)
@@ -61,17 +56,29 @@ class DensityMatrix:
         _check_trajectory(self.matrix[np.newaxis], np.array([self.time]))
 
 
-def _check_trajectory(rhos: np.ndarray, t: np.ndarray) -> None:
-    """Raise at the first point of a trajectory that fails an invariant.
+class DensityTrajectory(TimeSeries):
+    """Density matrices on ``basis``: ``values`` is the (nt, d, d) array.
 
-    ``rhos`` is an (nt, d, d) stack with times ``t``.  Each batch of
-    ``CHECK_CHUNK`` points gets one stacked trace, one stacked Hermiticity
-    maximum and one stacked ``eigvalsh``; the last sees only the matrices
-    before the batch's first trace or Hermiticity breach, so it never sees
-    a non-finite matrix.  At the failing point the trace is reported before
-    Hermiticity, and Hermiticity before positivity.  Defects are compared
-    as ``not defect <= tol``, so a NaN defect is a breach.
+    Indexing (negative too) and iteration, which stops at the IndexError
+    past the end, give :class:`DensityMatrix` views built on demand.
     """
+
+    def __getitem__(self, i: int) -> DensityMatrix:
+        return DensityMatrix(self.basis, self.values[i], float(self.times[i]))
+
+
+def _check_trajectory(rhos: np.ndarray, t: np.ndarray) -> None:
+    """Raise at the first point of an (nt, d, d) stack that fails an invariant.
+
+    Per batch of ``CHECK_CHUNK``: a stacked trace and Hermiticity maximum,
+    then, on the Hermitian parts before the first such breach (so finite),
+    one stacked Cholesky of rho + (|EIGENVALUE_FLOOR| - SCREEN_MARGIN) * I.
+    It succeeds only if no eigenvalue is below the floor; a batch it
+    rejects gets the ``eigvalsh`` that finds the breach and its defect.
+    Trace is reported before Hermiticity, Hermiticity before positivity;
+    a NaN defect is a breach (``not defect <= tol``).
+    """
+    shift = (abs(EIGENVALUE_FLOOR) - SCREEN_MARGIN) * np.eye(rhos.shape[-1])
     for start in range(0, len(rhos), CHECK_CHUNK):
         chunk = rhos[start:start + CHECK_CHUNK]
         adjoint = chunk.conj().swapaxes(1, 2)
@@ -81,13 +88,17 @@ def _check_trajectory(rhos: np.ndarray, t: np.ndarray) -> None:
         bad = ~((trace_defect <= TRACE_TOLERANCE)
                 & (herm_defect <= HERMITICITY_TOLERANCE))
         n = int(np.argmax(bad)) if bad.any() else len(chunk)
-        smallest = np.linalg.eigvalsh(0.5 * (chunk[:n] + adjoint[:n])).min(axis=1)
-        negative = ~(smallest >= EIGENVALUE_FLOOR)
-        if negative.any():
-            i = int(np.argmax(negative))
-            raise NumericalInvariantError("density-matrix positivity",
-                                          float(smallest[i]), EIGENVALUE_FLOOR,
-                                          time=float(t[start + i]))
+        hermitian = 0.5 * (chunk[:n] + adjoint[:n])
+        try:
+            np.linalg.cholesky(hermitian + shift)
+        except np.linalg.LinAlgError:
+            smallest = np.linalg.eigvalsh(hermitian).min(axis=1)
+            negative = ~(smallest >= EIGENVALUE_FLOOR)
+            if negative.any():
+                i = int(np.argmax(negative))
+                raise NumericalInvariantError(
+                    "density-matrix positivity", float(smallest[i]),
+                    EIGENVALUE_FLOOR, time=float(t[start + i])) from None
         if n < len(chunk):
             time = float(t[start + n])
             if not trace_defect[n] <= TRACE_TOLERANCE:
@@ -142,9 +153,7 @@ def _initial_density(basis: Basis, initial) -> np.ndarray:
         rho0 = np.zeros((basis.dim, basis.dim), dtype=complex)
         rho0[basis.initial_index, basis.initial_index] = 1.0
         return rho0
-    if isinstance(initial, DensityMatrix):
-        initial = initial.matrix
-    rho0 = np.asarray(initial, dtype=complex)
+    rho0 = np.asarray(getattr(initial, "matrix", initial), dtype=complex)
     if rho0.shape != (basis.dim, basis.dim):
         raise ConfigurationError(
             f"initial density matrix must have shape {(basis.dim, basis.dim)}, "
@@ -153,44 +162,48 @@ def _initial_density(basis: Basis, initial) -> np.ndarray:
 
 
 def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
-                   initial=None, substep: float | None = None) -> list[DensityMatrix]:
+                   initial=None, substep: float | None = None) -> DensityTrajectory:
     """Integrate the master equation over an output grid.
 
     ``initial`` defaults to the pure doubly-excited vacuum state and may be
     a matrix or a :class:`DensityMatrix`; it is the state at ``t_grid[0]``.
-    Every output point is checked for trace, Hermiticity, and positivity,
-    and the first breach in time order raises; the snapshots are views into
-    one (nt, d, d) array.
+    Each dN sector it occupies is propagated on its block of the generator;
+    the other entries stay 0.  The first invariant breach in time raises.
     """
     kind = SystemKind.coerce(kind)
     params.validate_for_kind(kind)
     basis = enumerate_basis(kind, damped=True)
     t = validate_grid(t_grid)
-    rho = _initial_density(basis, initial)
+    y0 = _initial_density(basis, initial).ravel()
     if substep is None:
         substep = default_substep(params.delta_cap, params.delta_small)
 
     d = basis.dim
-    rhos = propagate_grid(_generator(kind, params, d), t, rho.ravel(),
-                          substep=substep).reshape(t.size, d, d)
+    generator = _generator(kind, params, d)
+    n = excitation_numbers(basis)
+    sector = np.subtract.outer(n, n).ravel()        # dN of each vec(rho) entry
+    rhos = np.zeros((t.size, d * d), dtype=complex)
+    for dn in np.unique(sector[y0 != 0]):
+        idx = np.flatnonzero(sector == dn)
+        rhos[:, idx] = propagate_grid(generator[np.ix_(idx, idx)], t, y0[idx],
+                                      substep=substep)
+    rhos = rhos.reshape(t.size, d, d)
     _check_trajectory(rhos, t)
-    return [DensityMatrix(basis=basis, matrix=r, time=float(time))
-            for r, time in zip(rhos, t)]
+    return DensityTrajectory(times=t, values=rhos, basis=basis)
 
 
-def population_series(states: list[DensityMatrix], label: str) -> TimeSeries:
+def population_series(states: DensityTrajectory, label: str) -> TimeSeries:
     """Occupation of one basis state along a density-matrix trajectory."""
     if not states:
         raise ConfigurationError("empty density-matrix trajectory")
-    idx = states[0].basis.index_of(label)
-    times = np.array([s.time for s in states])
-    values = np.array([s.matrix[idx, idx].real for s in states])
-    return TimeSeries(times=times, values=values)
+    idx = states.basis.index_of(label)
+    return TimeSeries(times=states.times,
+                      values=states.values[:, idx, idx].real.copy())
 
 
-def two_photon_population(states: list[DensityMatrix]) -> TimeSeries:
+def two_photon_population(states: DensityTrajectory) -> TimeSeries:
     """Occupation of the two-photon target state along a trajectory."""
     if not states:
         raise ConfigurationError("empty density-matrix trajectory")
-    label = states[0].basis.states[states[0].basis.two_photon_index].label
+    label = states.basis.labels()[states.basis.two_photon_index]
     return population_series(states, label)

@@ -181,11 +181,15 @@ def build_hamiltonian(kind: SystemKind | str, params: ModelParams,
     """
     kind = SystemKind.coerce(kind)
     params.validate_for_kind(kind)
-    if not damped:
-        if kind is SystemKind.BIMODAL:
-            return _bimodal_unitary_hamiltonian(params)
-        return _single_mode_unitary_hamiltonian(params)
-    h, _ = _damped_operators(kind, params)
+    if damped:
+        with np.errstate(over="ignore", invalid="ignore"):    # checked below
+            h, _ = _damped_operators(kind, params)
+    elif kind is SystemKind.BIMODAL:
+        h = _bimodal_unitary_hamiltonian(params)
+    else:
+        h = _single_mode_unitary_hamiltonian(params)
+    if not np.all(np.isfinite(h)):     # e.g. sqrt(2) * 1e308 overflows
+        raise ConfigurationError("parameters too large: non-finite Hamiltonian entries")
     return h
 
 

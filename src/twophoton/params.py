@@ -94,12 +94,6 @@ class ModelParams:
         """Return a copy with the given fields changed."""
         return dataclasses.replace(self, **changes)
 
-    def max_detuning(self) -> float:
-        return max(abs(self.delta_cap), abs(self.delta_small))
-
-    def is_dissipative(self) -> bool:
-        return self.kappa_a > 0 or self.kappa_b > 0
-
     def validate_for_kind(self, kind: SystemKind | str) -> None:
         """Check kind-specific constraints (beyond the universal ones)."""
         kind = SystemKind.coerce(kind)

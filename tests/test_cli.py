@@ -31,6 +31,17 @@ def test_cli_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_cli_import_does_not_load_version_metadata():
+    # __version__ is looked up on first use, so the import skips
+    # importlib.metadata; the lookup then gives the manifests' engine value
+    src = str(Path(twophoton.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, twophoton, twophoton.cli; "
+            "assert 'importlib.metadata' not in sys.modules; "
+            "assert twophoton.__version__ == twophoton.experiments.engine_version()")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
@@ -175,6 +186,39 @@ def test_non_numeric_input_exits_three(tmp_path, capsys, command, cfg, flags):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, params", [
+    ("spectrum", {"g1": 1e308, "g2": 1e308}),
+    ("master", {"delta_cap": 1e308, "delta_small": 1e308}),
+])
+def test_overflowing_params_exit_three(tmp_path, capsys, command, params):
+    # finite parameters whose Hamiltonian entries overflow to inf
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"params": params, "horizon": 1.0}))
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+
+
+def test_scan_axis_point_budget(tmp_path, capsys, monkeypatch):
+    # both scan axes are refused before np.arange allocates 10^18 points
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("axis allocated before checking its budget")
+
+    monkeypatch.setattr(np, "arange", no_allocation)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"g2": 1.5, "delta_cap": -5.0, "horizon": 1.0,
+                                "values": {"start": 0, "stop": 1e9,
+                                           "step": 1e-9}}))
+    assert main(["scan", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert main(["resonance", "--g2", "1.5", "--delta-cap", "-5",
+                 "--interval", "2.5", "4.5", "--scan-step", "1e-18",
+                 "--horizon", "1", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("grid points") == 2
 
 
 def test_missing_config_file(tmp_path):

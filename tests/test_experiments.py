@@ -7,7 +7,8 @@ from twophoton import (ConfigurationError, ModelParams, SweepSpec,
                        damping_sweep, default_horizon, effective_g_omega,
                        envelope_compare, resonance_report, scan_two_photon,
                        time_grid)
-from twophoton.experiments import MAX_DEFAULT_HORIZON, MAX_GRID_POINTS
+from twophoton.experiments import (MAX_DEFAULT_HORIZON, MAX_GRID_POINTS,
+                                   axis_grid)
 
 SCAN_PARAMS = ModelParams(g2=1.5, delta_cap=-5.0)
 
@@ -53,6 +54,23 @@ def test_time_grid_point_budget(monkeypatch):
             time_grid(float(MAX_GRID_POINTS), step=1.0)
     assert len(time_grid(MAX_GRID_POINTS - 1.0, step=1.0)) == MAX_GRID_POINTS
     assert len(time_grid(MAX_DEFAULT_HORIZON)) == 200_001
+
+
+def test_axis_grid_point_budget(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("axis_grid allocated before checking its budget")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "arange", no_allocation)
+        for start, stop, step in ((0.0, 1e9, 1e-9), (-1e308, 1e308, 1.0),
+                                  (0.0, float(MAX_GRID_POINTS), 1.0)):
+            with pytest.raises(ConfigurationError, match="grid points"):
+                axis_grid(start, stop, step)
+        for start, stop, step in ((0.0, 1.0, 0.0), (1.0, 0.0, 0.1)):
+            with pytest.raises(ConfigurationError, match="step > 0"):
+                axis_grid(start, stop, step)
+    assert len(axis_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
+    assert np.array_equal(axis_grid(2.5, 4.5, 0.05), 2.5 + 0.05 * np.arange(41))
 
 
 def test_default_horizon_tracks_resonance_period():

@@ -3,8 +3,16 @@ import pytest
 
 from twophoton import ConfigurationError, default_substep, time_grid
 from twophoton import integrate
-from twophoton.integrate import (propagate_grid, rk4_step, taylor_propagator,
-                                 validate_grid)
+from twophoton.integrate import propagate_grid, taylor_propagator, validate_grid
+
+
+def rk4_step(f, y, h: float):
+    """One literal Runge-Kutta-4 step of y' = f(y) (autonomous)."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def test_default_substep_policy():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from twophoton import (ConfigurationError, DensityMatrix, ModelParams,
-                       NumericalInvariantError, embed_unitary_sector,
-                       enumerate_basis, evolve_amplitudes, evolve_density,
-                       lindblad_rhs, population_series, time_grid,
-                       two_photon_population)
+                       NumericalInvariantError, default_substep,
+                       embed_unitary_sector, enumerate_basis,
+                       evolve_amplitudes, evolve_density, lindblad_rhs,
+                       population_series, time_grid, two_photon_population)
 from twophoton import integrate, lindblad
 
 DAMPED_PARAMS = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.55,
@@ -35,22 +35,44 @@ def test_rhs_preserves_trace_and_hermiticity(kind, dim):
 
 
 @pytest.mark.parametrize("kind,dim", [("bimodal", 13), ("single_mode", 8)])
-def test_generator_matches_rhs(monkeypatch, kind, dim):
-    # evolve_density hands propagate_grid one generator built from lindblad_rhs
+def test_generator_matches_rhs(kind, dim):
+    # the generator on vec(rho) is built from lindblad_rhs
     p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5, kappa_a=0.1,
                     kappa_b=0.05 if kind == "bimodal" else 0.0)
-    generators = []
+    rho = random_density(dim, np.random.default_rng(11))
+    expected = lindblad_rhs(kind, p, rho).ravel()
+    generator = lindblad._generator(kind, p, dim)
+    assert np.max(np.abs(generator @ rho.ravel() - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("kind,dim,sector", [("bimodal", 13, 81),
+                                             ("single_mode", 8, 26)])
+@pytest.mark.parametrize("coherences", [False, True], ids=["default", "coherent"])
+def test_sector_path_matches_full_generator(monkeypatch, kind, dim, sector,
+                                            coherences):
+    # propagating each occupied dN sector alone equals propagating the full
+    # generator; a state with cross-N coherences occupies every sector
+    p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5, kappa_a=0.1,
+                    kappa_b=0.05 if kind == "bimodal" else 0.0)
+    t = np.linspace(0.0, 2.0, 21)
+    initial = random_density(dim, np.random.default_rng(5)) if coherences else None
+    dims = []
 
     def capture(generator, t_grid, y0, substep=None):
-        generators.append(generator)
+        dims.append(generator.shape[0])
         return integrate.propagate_grid(generator, t_grid, y0, substep=substep)
 
     monkeypatch.setattr(lindblad, "propagate_grid", capture)
-    evolve_density(kind, p, [0.0, 0.1])
-    assert len(generators) == 1
-    rho = random_density(dim, np.random.default_rng(11))
-    expected = lindblad_rhs(kind, p, rho).ravel()
-    assert np.max(np.abs(generators[0] @ rho.ravel() - expected)) < 1e-12
+    states = evolve_density(kind, p, t, initial=initial)
+    rho0 = lindblad._initial_density(enumerate_basis(kind, damped=True), initial)
+    full = integrate.propagate_grid(
+        lindblad._generator(kind, p, dim), t, rho0.ravel(),
+        substep=default_substep(p.delta_cap, p.delta_small))
+    assert np.max(np.abs(states.values.reshape(t.size, -1) - full)) < 1e-11
+    if coherences:
+        assert len(dims) > 1 and sum(dims) == dim * dim
+    else:
+        assert dims == [sector]
 
 
 def test_uniform_grid_builds_one_propagator(monkeypatch):
