@@ -96,7 +96,7 @@ class Basis:
     def index_of(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):           # TypeError: unhashable label
             raise ConfigurationError(
                 f"no state {label!r} in this basis; states are {self.labels()}"
             ) from None

@@ -88,7 +88,7 @@ def default_horizon(kind: SystemKind | str, params: ModelParams) -> float:
         big_g, _ = effective_g_omega(kind, params)
     except SingularityError:
         return DEFAULT_HORIZON
-    if big_g == 0.0:
+    if big_g == 0.0 or not np.isfinite(big_g):
         return DEFAULT_HORIZON
     return float(np.clip(10.0 * np.pi / abs(big_g), DEFAULT_HORIZON,
                          MAX_DEFAULT_HORIZON))
@@ -162,7 +162,7 @@ def scan_two_photon(spec: SweepSpec, substep: float | None = None) -> SweepResul
     for value in spec.values:
         params = spec.params.replace(**{spec.axis: value})
         h = substep if substep is not None else default_substep(
-            params.delta_cap, params.delta_small)
+            params.delta_cap, params.delta_small, params.g1, params.g2)
         used_substep = h if used_substep is None else min(used_substep, h)
         series = two_photon_probability(
             evolve_amplitudes(spec.kind, params, grid, substep=h))
@@ -266,7 +266,7 @@ def damping_sweep(kind: SystemKind | str = SystemKind.BIMODAL,
 
     rows = []
     used_substep = substep if substep is not None else default_substep(
-        params.delta_cap, params.delta_small)
+        params.delta_cap, params.delta_small, params.g1, params.g2)
     for kappa in kappas:
         if kind is SystemKind.BIMODAL:
             run = params.replace(kappa_a=kappa, kappa_b=kappa)

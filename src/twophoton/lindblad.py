@@ -176,7 +176,8 @@ def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
     t = validate_grid(t_grid)
     y0 = _initial_density(basis, initial).ravel()
     if substep is None:
-        substep = default_substep(params.delta_cap, params.delta_small)
+        substep = default_substep(params.delta_cap, params.delta_small,
+                                  params.g1, params.g2)
 
     d = basis.dim
     generator = _generator(kind, params, d)

@@ -188,19 +188,25 @@ def test_non_numeric_input_exits_three(tmp_path, capsys, command, cfg, flags):
     assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, params", [
     ("spectrum", {"g1": 1e308, "g2": 1e308}),
     ("master", {"delta_cap": 1e308, "delta_small": 1e308}),
+    ("evolve", {"g1": 1e200, "g2": 1e200}),
+    ("master", {"g1": 1e200, "g2": 1e200}),
 ])
 def test_overflowing_params_exit_three(tmp_path, capsys, command, params):
-    # finite parameters whose Hamiltonian entries overflow to inf
+    # finite parameters whose Hamiltonian entries overflow to inf, or whose
+    # finite Hamiltonian overflows the interval propagator; the horizon is
+    # the default one, which must not turn into a NaN of its own
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"params": params, "horizon": 1.0}))
+    path.write_text(json.dumps({"params": params}))
     assert main([command, "--config", str(path),
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1
+    assert "nan" not in err
 
 
 def test_scan_axis_point_budget(tmp_path, capsys, monkeypatch):

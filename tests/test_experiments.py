@@ -86,6 +86,9 @@ def test_default_horizon_fallbacks():
     # singular parameters fall back too
     singular = ModelParams(g2=1.5, delta_cap=np.sqrt(2.0), delta_small=7.0)
     assert default_horizon("bimodal", singular) == 25.0
+    # couplings so large that the effective G is not finite
+    huge = ModelParams(g1=1e200, g2=1e200)
+    assert default_horizon("bimodal", huge) == 25.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from twophoton import ConfigurationError, default_substep, time_grid
+from twophoton import (ConfigurationError, ModelParams, default_substep,
+                       evolve_amplitudes, expm_series, time_grid)
 from twophoton import integrate
 from twophoton.integrate import propagate_grid, taylor_propagator, validate_grid
 
@@ -21,6 +22,14 @@ def test_default_substep_policy():
     assert default_substep(-10.0, 9.5) == pytest.approx(5e-5)
     # small detunings never push the substep above its ceiling
     assert default_substep(0.3, -0.2) == 2.5e-4
+    # a coupling larger than the detunings sets the scale too, and keeps the
+    # stepper within 1e-9 of exact diagonalization
+    assert default_substep(-5.0, 3.5, 1.0, 30.0) == pytest.approx(5e-4 / 30)
+    strong = ModelParams(g2=30.0, delta_cap=-5.0, delta_small=3.5)
+    t = time_grid(25.0)
+    err = np.max(np.abs(evolve_amplitudes("bimodal", strong, t).values
+                        - expm_series("bimodal", strong, t).values))
+    assert err <= 1e-9
 
 
 def test_taylor_propagator_equals_literal_rk4():
@@ -86,9 +95,20 @@ def test_doubling_matches_literal_stepping(nt):
     assert np.max(np.abs(out - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
+def drifting_grid(n: int = 2000, step: float = 0.01) -> np.ndarray:
+    """Intervals step*(1 + 5e-10), then step*(1 - 5e-10): each within 1e-9
+    of the mean step, but the midpoint is 5e-7 steps off t[0] + k*step."""
+    dt = np.full(n, step)
+    dt[:n // 2] *= 1 + 5e-10
+    dt[n // 2:] *= 1 - 5e-10
+    return np.concatenate([[0.0], np.cumsum(dt)])
+
+
 @pytest.mark.parametrize("t,builds", [
     (time_grid(600.0), 1),        # intervals differ by up to ~1e-13
     ([0.0, 0.1, 0.3, 0.35, 1.0], 4),
+    (time_grid(9999.99), 1),      # the longest admitted grid is uniform too
+    (drifting_grid(), 2),         # not uniform pointwise: grouped by interval
 ])
 def test_one_propagator_per_distinct_interval(monkeypatch, t, builds):
     calls = []

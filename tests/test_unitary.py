@@ -3,8 +3,10 @@ import pytest
 
 from twophoton import (ConfigurationError, ModelParams,
                        NumericalInvariantError, amplitude_rhs,
-                       build_hamiltonian, evolve_amplitudes, expm_reference,
-                       expm_series, two_photon_probability)
+                       build_hamiltonian, default_substep, evolve_amplitudes,
+                       expm_reference, expm_series, time_grid,
+                       two_photon_probability)
+from twophoton.experiments import MAX_DEFAULT_HORIZON
 
 P_RES = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5)
 
@@ -86,6 +88,26 @@ def test_two_photon_probability_extracts_target_state():
     assert np.allclose(prob.values, np.abs(series.values[:, 3]) ** 2)
     assert np.all(prob.values >= 0.0)
     assert np.all(prob.values <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("horizon", [MAX_DEFAULT_HORIZON, 9999.99])
+@pytest.mark.parametrize("kind,params", [
+    ("bimodal", ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5)),
+    ("single_mode", ModelParams(g2=2.0, delta_cap=-5.0, delta_small=2.75)),
+])
+def test_long_grid_accuracy_contract(kind, params, horizon):
+    # RK4's global error grows like t*h^4*|E|^5; on the longest default
+    # horizon and the longest admitted grid, at the damping-study points,
+    # the default substep keeps it within a quarter of that
+    t = time_grid(horizon)
+    h = default_substep(params.delta_cap, params.delta_small,
+                        params.g1, params.g2)
+    energy = np.max(np.abs(np.linalg.eigvalsh(build_hamiltonian(kind, params))))
+    values = evolve_amplitudes(kind, params, t).values
+    err = max(np.max(np.abs(values[chunk]
+                            - expm_series(kind, params, t[chunk]).values))
+              for chunk in np.array_split(np.arange(t.size), 8))
+    assert err <= 0.25 * t[-1] * h ** 4 * energy ** 5
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
