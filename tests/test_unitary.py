@@ -92,7 +92,7 @@ def test_two_photon_probability_extracts_target_state():
 
 @pytest.mark.parametrize("horizon", [MAX_DEFAULT_HORIZON, 9999.99])
 @pytest.mark.parametrize("kind,params", [
-    ("bimodal", ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5)),
+    ("bimodal", P_RES),
     ("single_mode", ModelParams(g2=2.0, delta_cap=-5.0, delta_small=2.75)),
 ])
 def test_long_grid_accuracy_contract(kind, params, horizon):
@@ -104,6 +104,7 @@ def test_long_grid_accuracy_contract(kind, params, horizon):
                         params.g1, params.g2)
     energy = np.max(np.abs(np.linalg.eigvalsh(build_hamiltonian(kind, params))))
     values = evolve_amplitudes(kind, params, t).values
+    # the exact series in chunks, so 10^6 points never need three copies
     err = max(np.max(np.abs(values[chunk]
                             - expm_series(kind, params, t[chunk]).values))
               for chunk in np.array_split(np.arange(t.size), 8))
