@@ -17,7 +17,8 @@ builds one propagator, from that mean step, and is filled by doubling (a
 block of k known states times the k-th power of the propagator gives the
 next k), so nt points cost about log2(nt) matrix products rather than
 nt-1 Python-level steps.  Any other grid builds one propagator per
-distinct interval length and applies them one interval at a time.  This
+interval length (rounded to 12 decimals) and applies them one interval at
+a time.  This
 keeps the integrator deterministic (no adaptivity), cheap, and bit-stable
 across repeat runs.
 
@@ -46,7 +47,7 @@ UNIFORM_TOLERANCE = 1e-9
 
 
 def default_substep(delta_cap: float, delta_small: float,
-                    g1: float = 1.0, g2: float = 1.0) -> float:
+                    g1: float, g2: float) -> float:
     """Default integrator substep for the given detunings and couplings
     (units of 1/g1)."""
     scale = max(abs(delta_cap), abs(delta_small), g1, g2, 1.0)
@@ -88,9 +89,12 @@ def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
     doubling: once the first k states are known, the next k are those times
     P^k, and P^k is then squared, so the grid takes ceil(log2(nt)) matrix
     products.  Any other grid groups its intervals by their length rounded
-    to 12 decimals and builds one propagator per group, from the group's
-    first interval.  With one group it is filled by doubling too; otherwise
-    it is stepped sequentially, one propagator application per interval.
+    to 12 decimals, builds one propagator per group from the group's first
+    interval, and is stepped sequentially, one propagator application per
+    interval.  Only a grid that passes the pointwise test is free of label
+    error: on any other grid each interval is advanced by its group's first
+    length, which may differ from its own by up to 1e-12, and these
+    differences add up along the grid.
 
     Returns the (len(t_grid), dim) array of states.  Raises
     ``ConfigurationError`` if an interval propagator is not finite (the
@@ -119,9 +123,6 @@ def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
                                 return_inverse=True)
     propagators = [_interval_propagator(generator, dt[i], substep)
                    for i in first]
-    if len(propagators) == 1:
-        _fill_by_doubling(propagators[0], out)
-        return out
     for i, g in enumerate(group.tolist(), start=1):
         y = propagators[g] @ y
         out[i] = y

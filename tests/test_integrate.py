@@ -17,11 +17,11 @@ def rk4_step(f, y, h: float):
 
 
 def test_default_substep_policy():
-    assert default_substep(0.0, 0.0) == 2.5e-4
-    assert default_substep(-5.0, 3.5) == pytest.approx(1e-4)
-    assert default_substep(-10.0, 9.5) == pytest.approx(5e-5)
+    assert default_substep(0.0, 0.0, 1.0, 1.0) == 2.5e-4
+    assert default_substep(-5.0, 3.5, 1.0, 1.0) == pytest.approx(1e-4)
+    assert default_substep(-10.0, 9.5, 1.0, 1.5) == pytest.approx(5e-5)
     # small detunings never push the substep above its ceiling
-    assert default_substep(0.3, -0.2) == 2.5e-4
+    assert default_substep(0.3, -0.2, 1.0, 1.5) == 2.5e-4
     # a coupling larger than the detunings sets the scale too, and keeps the
     # stepper within 1e-9 of exact diagonalization
     assert default_substep(-5.0, 3.5, 1.0, 30.0) == pytest.approx(5e-4 / 30)

@@ -67,7 +67,7 @@ def test_sector_path_matches_full_generator(monkeypatch, kind, dim, sector,
     rho0 = lindblad._initial_density(enumerate_basis(kind, damped=True), initial)
     full = integrate.propagate_grid(
         lindblad._generator(kind, p, dim), t, rho0.ravel(),
-        substep=default_substep(p.delta_cap, p.delta_small))
+        substep=default_substep(p.delta_cap, p.delta_small, p.g1, p.g2))
     assert np.max(np.abs(states.values.reshape(t.size, -1) - full)) < 1e-11
     if coherences:
         assert len(dims) > 1 and sum(dims) == dim * dim
