@@ -234,13 +234,13 @@ def _cmd_master(args) -> int:
 
     grid = time_grid(horizon)
     states = evolve_density(kind, params, grid, substep=substep)
-    series = (population_series(states, state) if state
+    series = (population_series(states, state) if state is not None
               else two_photon_population(states))
     out = outdir / "master.csv"
     _write_series_csv(out, _series_template(series.times), series.values)
     _write_manifest(outdir, "master", kind, params, [out.name],
                     horizon=horizon, substep=substep,
-                    observable=(f"population:{state}" if state
+                    observable=(f"population:{state}" if state is not None
                                 else "two_photon_population"))
     print(f"wrote {out}")
     return EXIT_OK

@@ -6,16 +6,17 @@ The master equation evolved here is
                                        + rho c_m^+ c_m),
 
 with one annihilator per cavity mode, so each mode loses photons at rate
-2*kappa_m.  Each run builds the generator once, as a matrix on vec(rho),
-from ``lindblad_rhs`` (the one home of the dissipator algebra).  H keeps
-the excitation number N and each jump lowers it by one, so the generator
-keeps dN = N(i) - N(j) of each entry rho[i, j].  Each dN sector the
-initial state occupies (the default state: dN = 0 only, 81 of 169 entries
-bimodal, 26 of 64 single-mode) is stepped on its own block of the
-generator by :func:`twophoton.integrate.propagate_grid`; none is derived
-from another by conjugation, so the Hermiticity check still tests the
-dynamics.  ``_check_trajectory`` checks every output point; the first
-breach in time order aborts the run.
+2*kappa_m.  H keeps the excitation number N and each jump lowers it by
+one, so the generator keeps dN = N(i) - N(j) of each entry rho[i, j].
+Each dN sector the initial state occupies (the default state: dN = 0 only,
+81 of 169 entries bimodal, 26 of 64 single-mode) gets its own block of the
+generator on vec(rho), built by ``lindblad_rhs`` (the one home of the
+dissipator algebra) from that sector's unit matrices, and is stepped by
+:func:`twophoton.integrate.propagate_grid`; none is derived from another
+by conjugation, so the Hermiticity check still tests the dynamics.
+``_check_trajectory`` reads only the occupied entries, so a dN = 0 state
+(block-diagonal in N: 8/4/1 bimodal, 4/3/1 single-mode) is checked block
+by block.  The first breach in time order aborts the run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .unitary import TimeSeries
 TRACE_TOLERANCE = 1e-8
 HERMITICITY_TOLERANCE = 1e-8
 EIGENVALUE_FLOOR = -1e-6
-CHECK_CHUNK = 512       # points per check batch: ~1.4 MB of temporaries at d = 13
+CHECK_CHUNK = 512       # points per check batch: temporaries scale with the pattern
 SCREEN_MARGIN = 1e-9    # Cholesky screen margin, far above its ~d*1e-16 rounding
 
 
@@ -67,32 +68,45 @@ class DensityTrajectory(TimeSeries):
         return DensityMatrix(self.basis, self.values[i], float(self.times[i]))
 
 
-def _check_trajectory(rhos: np.ndarray, t: np.ndarray) -> None:
+def _check_trajectory(rhos: np.ndarray, t: np.ndarray,
+                      support: np.ndarray | None = None) -> None:
     """Raise at the first point of an (nt, d, d) stack that fails an invariant.
 
-    Per batch of ``CHECK_CHUNK``: a stacked trace and Hermiticity maximum,
-    then, on the Hermitian parts before the first such breach (so finite),
-    one stacked Cholesky of rho + (|EIGENVALUE_FLOOR| - SCREEN_MARGIN) * I.
-    It succeeds only if no eigenvalue is below the floor; a batch it
-    rejects gets the ``eigvalsh`` that finds the breach and its defect.
+    ``support`` (boolean over rho.ravel(); None: all) marks the entries that
+    may be non-zero.  With its transpose and the diagonal it splits the
+    basis into connected diagonal blocks; other entries are not read, and a
+    full pattern is one d x d block.  Per batch of ``CHECK_CHUNK``: a stacked
+    trace and a Hermiticity maximum over the pattern, then, on the blocks'
+    Hermitian parts before the first such breach (so finite), one stacked
+    Cholesky per block of rho_block + (|EIGENVALUE_FLOOR| - SCREEN_MARGIN) I.
+    It succeeds only if no eigenvalue is below the floor; a batch it rejects
+    gets per-block ``eigvalsh``, whose per-point minimum is the defect.
     Trace is reported before Hermiticity, Hermiticity before positivity;
     a NaN defect is a breach (``not defect <= tol``).
     """
-    shift = (abs(EIGENVALUE_FLOOR) - SCREEN_MARGIN) * np.eye(rhos.shape[-1])
+    d = rhos.shape[-1]
+    mask = np.ones((d, d), dtype=bool) if support is None else support.reshape(d, d)
+    mask = mask | mask.T | np.eye(d, dtype=bool)
+    reach = np.linalg.matrix_power(mask, d)         # connectivity
+    blocks = [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
+    rows, cols = np.nonzero(mask)
+    shift = abs(EIGENVALUE_FLOOR) - SCREEN_MARGIN
     for start in range(0, len(rhos), CHECK_CHUNK):
         chunk = rhos[start:start + CHECK_CHUNK]
-        adjoint = chunk.conj().swapaxes(1, 2)
         traces = np.trace(chunk, axis1=1, axis2=2)
         trace_defect = np.abs(traces.real - 1.0) + np.abs(traces.imag)
-        herm_defect = np.abs(chunk - adjoint).max(axis=(1, 2))
+        herm_defect = np.abs(chunk[:, rows, cols] - chunk[:, cols, rows].conj()).max(1)
         bad = ~((trace_defect <= TRACE_TOLERANCE)
                 & (herm_defect <= HERMITICITY_TOLERANCE))
         n = int(np.argmax(bad)) if bad.any() else len(chunk)
-        hermitian = 0.5 * (chunk[:n] + adjoint[:n])
+        parts = [chunk[:n, b[:, None], b] for b in blocks]
+        parts = [0.5 * (part + part.conj().swapaxes(1, 2)) for part in parts]
         try:
-            np.linalg.cholesky(hermitian + shift)
+            for part in parts:
+                np.linalg.cholesky(part + shift * np.eye(part.shape[-1]))
         except np.linalg.LinAlgError:
-            smallest = np.linalg.eigvalsh(hermitian).min(axis=1)
+            smallest = np.min([np.linalg.eigvalsh(part).min(axis=1)
+                               for part in parts], axis=0)
             negative = ~(smallest >= EIGENVALUE_FLOOR)
             if negative.any():
                 i = int(np.argmax(negative))
@@ -139,13 +153,15 @@ def lindblad_rhs(kind: SystemKind | str, params: ModelParams,
     return out
 
 
-def _generator(kind: SystemKind, params: ModelParams, dim: int) -> np.ndarray:
-    """The master-equation generator as a matrix on vec(rho) = rho.ravel()."""
-    units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
-    columns = lindblad_rhs(kind, params, units,
+def _generator(kind: SystemKind, params: ModelParams, dim: int,
+               idx=slice(None)) -> np.ndarray:
+    """Rows and columns ``idx`` (default: all) of the master-equation generator
+    on vec(rho) = rho.ravel(), built from those unit matrices alone."""
+    units = np.eye(dim * dim, dtype=complex)[idx]
+    columns = lindblad_rhs(kind, params, units.reshape(-1, dim, dim),
                            hamiltonian=build_hamiltonian(kind, params, damped=True),
                            jumps=build_jump_operators(kind))
-    return np.ascontiguousarray(columns.reshape(dim * dim, dim * dim).T)
+    return np.ascontiguousarray(columns.reshape(len(units), -1)[:, idx].T)
 
 
 def _initial_density(basis: Basis, initial) -> np.ndarray:
@@ -180,16 +196,15 @@ def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
                                   params.g1, params.g2)
 
     d = basis.dim
-    generator = _generator(kind, params, d)
     n = excitation_numbers(basis)
     sector = np.subtract.outer(n, n).ravel()        # dN of each vec(rho) entry
     rhos = np.zeros((t.size, d * d), dtype=complex)
     for dn in np.unique(sector[y0 != 0]):
         idx = np.flatnonzero(sector == dn)
-        rhos[:, idx] = propagate_grid(generator[np.ix_(idx, idx)], t, y0[idx],
-                                      substep=substep)
+        rhos[:, idx] = propagate_grid(_generator(kind, params, d, idx), t,
+                                      y0[idx], substep=substep)
     rhos = rhos.reshape(t.size, d, d)
-    _check_trajectory(rhos, t)
+    _check_trajectory(rhos, t, np.isin(sector, sector[y0 != 0]))
     return DensityTrajectory(times=t, values=rhos, basis=basis)
 
 

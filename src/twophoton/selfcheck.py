@@ -2,7 +2,8 @@
 
 Each check exercises one independent cross-validation of the engine
 (stepping integrator vs exact diagonalization, damped vs coherent sector,
-resolvent vs tabulated effective matrix, exact interference cancellation).
+damped top excitation block vs the no-jump amplitude problem, resolvent vs
+tabulated effective matrix, exact interference cancellation).
 The whole suite runs in a few seconds; it is a smoke test, not the full
 test suite.
 """
@@ -13,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import enumerate_basis
 from .effective import (closed_form_probability, effective_hamiltonian,
                         interference_amplitude,
                         resolvent_effective_hamiltonian)
 from .lindblad import evolve_density, two_photon_population
-from .operators import build_hamiltonian, embed_unitary_sector
+from .operators import (build_hamiltonian, build_jump_operators,
+                        embed_unitary_sector, excitation_numbers)
 from .params import ModelParams, SystemKind
 from .unitary import (evolve_amplitudes, expm_series, two_photon_probability)
 
@@ -71,6 +74,42 @@ def _check_undamped_density() -> CheckResult:
                        worst <= 1e-6, f"max population deviation {worst:.2e}")
 
 
+def no_jump_deviation(kind: SystemKind | str, params: ModelParams,
+                      grid) -> float:
+    """Max deviation of ``evolve_density``'s top excitation block from psi psi^+.
+
+    No jump feeds the top block N = 2, so there rho = psi psi^+ with
+    psi' = -i(H - i sum_m kappa_m a_m^+ a_m) psi from the initial state
+    (Plenio & Knight, RMP 70, 101, 1998), solved here by ``np.linalg.eig``.
+    """
+    kind = SystemKind.coerce(kind)
+    basis = enumerate_basis(kind, damped=True)
+    n = excitation_numbers(basis)
+    top = np.flatnonzero(n == n.max())
+    h_eff = build_hamiltonian(kind, params, damped=True).astype(complex)
+    for kappa, c in zip((params.kappa_a, params.kappa_b), build_jump_operators(kind)):
+        h_eff -= 1j * kappa * (c.T @ c)
+    lam, vec = np.linalg.eig(h_eff[np.ix_(top, top)])
+    coeff = np.linalg.solve(vec, (top == basis.initial_index).astype(complex))
+    grid = np.asarray(grid, dtype=float)
+    psi = (np.exp(-1j * np.outer(grid - grid[0], lam)) * coeff) @ vec.T
+    rho = evolve_density(kind, params, grid).values[:, top[:, None], top]
+    return float(np.max(np.abs(rho - psi[:, :, None] * psi[:, None, :].conj())))
+
+
+def _check_no_jump() -> CheckResult:
+    grid = np.linspace(0.0, 5.0, 51)
+    cases = [
+        (SystemKind.BIMODAL, ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5,
+                                         kappa_a=0.1, kappa_b=0.1)),
+        (SystemKind.SINGLE_MODE, ModelParams(g2=2.0, delta_cap=-5.0,
+                                             delta_small=2.75, kappa_a=0.1)),
+    ]
+    worst = max(no_jump_deviation(kind, params, grid) for kind, params in cases)
+    return CheckResult("damped top block matches no-jump amplitude evolution",
+                       worst <= 1e-10, f"max entry deviation {worst:.2e}")
+
+
 def _check_resolvent() -> CheckResult:
     params = ModelParams(g2=1.5, delta_cap=-7.0, delta_small=7.0)
     _, via_resolvent = resolvent_effective_hamiltonian(params)
@@ -109,7 +148,8 @@ def _check_destructive_limit() -> CheckResult:
 def run_selfcheck() -> list[CheckResult]:
     """Run all checks; returns their results (never raises on failure)."""
     checks = (_check_embedding, _check_integrator, _check_undamped_density,
-              _check_resolvent, _check_interference, _check_destructive_limit)
+              _check_no_jump, _check_resolvent, _check_interference,
+              _check_destructive_limit)
     results = []
     for check in checks:
         try:

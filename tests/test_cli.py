@@ -272,6 +272,27 @@ def test_master_named_state(tmp_path):
     assert manifest["observable"] == "population:ee,0"
 
 
+@pytest.mark.parametrize("cfg, flags", [
+    ({"state": 0}, []),
+    ({"state": False}, []),
+    ({"state": ""}, []),
+    ({}, ["--state", ""]),
+], ids=["zero", "false", "empty", "empty_flag"])
+def test_master_falsy_state_exits_three(tmp_path, capsys, cfg, flags):
+    # a falsy state is still a state: it must name a basis label, not fall
+    # back to the two-photon population
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"kind": "single_mode", "g2": 2.0,
+                                "delta_cap": -5.0, "delta_small": 2.75,
+                                "kappa_a": 0.03, "horizon": 0.1, **cfg}))
+    assert main(["master", "--config", str(path), *flags,
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out" / "master.csv").exists()
+
+
 def test_invariant_breach_exits_two(tmp_path):
     assert main(["master", "--g2", "1.5", "--delta-cap", "-5",
                  "--delta-small", "3.55", "--kappa-a", "0.1",

@@ -7,6 +7,8 @@ from twophoton import (ConfigurationError, DensityMatrix, ModelParams,
                        evolve_amplitudes, evolve_density, lindblad_rhs,
                        population_series, time_grid, two_photon_population)
 from twophoton import integrate, lindblad
+from twophoton.operators import excitation_numbers
+from twophoton.selfcheck import no_jump_deviation
 
 DAMPED_PARAMS = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.55,
                    kappa_a=0.1, kappa_b=0.1)
@@ -16,6 +18,12 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def sectors(kind: str) -> np.ndarray:
+    """dN of each vec(rho) entry of the damped basis."""
+    n = excitation_numbers(enumerate_basis(kind, damped=True))
+    return np.subtract.outer(n, n).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +51,19 @@ def test_generator_matches_rhs(kind, dim):
     expected = lindblad_rhs(kind, p, rho).ravel()
     generator = lindblad._generator(kind, p, dim)
     assert np.max(np.abs(generator @ rho.ravel() - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("kind,dim", [("bimodal", 13), ("single_mode", 8)])
+def test_sector_generator_is_the_full_generator_block(kind, dim):
+    # built from the sector's unit matrices alone, bit for bit the same
+    p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5, kappa_a=0.1,
+                    kappa_b=0.05 if kind == "bimodal" else 0.0)
+    full = lindblad._generator(kind, p, dim)
+    sector = sectors(kind)
+    for dn in np.unique(sector):
+        idx = np.flatnonzero(sector == dn)
+        assert np.array_equal(lindblad._generator(kind, p, dim, idx),
+                              full[np.ix_(idx, idx)])
 
 
 @pytest.mark.parametrize("kind,dim,sector", [("bimodal", 13, 81),
@@ -157,6 +178,17 @@ def test_zero_damping_matches_amplitude_dynamics(kind):
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("bimodal", DAMPED_PARAMS),
+    ("single_mode", ModelParams(g2=2.0, delta_cap=-5.0, delta_small=2.75,
+                                kappa_a=0.1)),
+])
+def test_top_block_matches_no_jump_evolution(kind, params):
+    # no jump feeds N = 2: that block is psi psi^+ under H - i sum kappa n,
+    # an oracle that shares neither the generator nor the propagator
+    assert no_jump_deviation(kind, params, time_grid(60.0)) <= 1e-10
+
+
 def test_damped_run_keeps_invariants():
     t = np.linspace(0.0, 10.0, 41)
     states = evolve_density("bimodal", DAMPED_PARAMS, t)
@@ -247,6 +279,81 @@ def test_batched_checks_keep_first_breach_order(defects, invariant, index):
         lindblad._check_trajectory(rhos, t)
     assert exc.value.invariant == invariant
     assert exc.value.time == t[index]
+
+
+def block_diagonal_stack(nt: int, rng: np.random.Generator) -> np.ndarray:
+    """Random bimodal dN = 0 states: N blocks of 8/4/1, off-block zeros."""
+    n = excitation_numbers(enumerate_basis("bimodal", damped=True))
+    rhos = np.zeros((nt, 13, 13), dtype=complex)
+    for point in rhos:
+        weights = rng.dirichlet(np.ones(3))
+        for w, k in zip(weights, (2, 1, 0)):
+            b = np.flatnonzero(n == k)
+            point[np.ix_(b, b)] = w * random_density(len(b), rng)
+    return rhos
+
+
+@pytest.mark.parametrize("breach,invariant", [
+    (None, None),
+    ("trace", "trace"),
+    ("hermiticity", "Hermiticity"),
+    ("positivity_8", "positivity"),
+    ("positivity_1", "positivity"),
+    ("nan", "Hermiticity"),
+])
+def test_pattern_check_matches_full_check(breach, invariant):
+    # the blockwise check on the dN = 0 pattern reports what the full d x d
+    # check reports: the same invariant, time and defect
+    n = excitation_numbers(enumerate_basis("bimodal", damped=True))
+    top, vacuum = np.flatnonzero(n == 2), np.flatnonzero(n == 0)[0]
+    rhos = block_diagonal_stack(1200, np.random.default_rng(9))
+    i = 700
+    if breach == "trace":
+        rhos[i] *= 1.01
+    elif breach == "hermiticity":
+        rhos[i, top[0], top[3]] += 1e-3
+    elif breach == "positivity_8":                  # not on the basis axes
+        u, _ = np.linalg.qr(random_density(8, np.random.default_rng(4)))
+        rhos[i] = 0.0
+        rhos[i][np.ix_(top, top)] = u @ np.diag([1.01, -0.01] + [0] * 6) @ u.conj().T
+    elif breach == "positivity_1":
+        rhos[i] = 0.0
+        rhos[i, top[1], top[1]], rhos[i, vacuum, vacuum] = 1.01, -0.01
+    elif breach == "nan":
+        rhos[i, top[2], top[5]] = np.nan
+    t = np.linspace(0.0, 12.0, 1200)
+    support = sectors("bimodal") == 0
+    if breach is None:
+        lindblad._check_trajectory(rhos, t, support)
+        lindblad._check_trajectory(rhos, t)
+        return
+    raised = []
+    for args in [(support,), ()]:
+        with pytest.raises(NumericalInvariantError) as exc:
+            lindblad._check_trajectory(rhos, t, *args)
+        raised.append(exc.value)
+    pattern, full = raised
+    assert pattern.invariant == full.invariant == f"density-matrix {invariant}"
+    assert pattern.time == full.time == t[i]
+    if invariant == "positivity":
+        assert pattern.defect == pytest.approx(full.defect, abs=1e-12)
+    else:
+        np.testing.assert_equal(pattern.defect, full.defect)
+
+
+def test_pattern_blocks_close_over_transpose():
+    # support 0 -> 2 <- 1 only: its blocks must join {0, 1, 2}, whose
+    # 2 x 2 principal parts are all positive while the whole is not
+    rho = np.array([[0.25, 0.0, 0.1 ** 0.5],
+                    [0.0, 0.25, 0.1 ** 0.5],
+                    [0.1 ** 0.5, 0.1 ** 0.5, 0.5]], dtype=complex)
+    support = np.zeros((3, 3), dtype=bool)
+    support[[0, 1], 2] = True
+    with pytest.raises(NumericalInvariantError) as exc:
+        lindblad._check_trajectory(rho[np.newaxis], np.array([0.0]),
+                                   support.ravel())
+    assert exc.value.invariant == "density-matrix positivity"
+    assert exc.value.defect == pytest.approx(np.linalg.eigvalsh(rho)[0])
 
 
 def test_bad_initial_shape_rejected():
