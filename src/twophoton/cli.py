@@ -16,9 +16,11 @@ resolve as --out, then $TWOPHOTON_OUTDIR, then the working directory.
 
 Numbers are written with 15 significant digits (``%.15g``, the same bytes
 as ``f"{float(x):.15g}"``), so repeat runs are byte-identical.  Files are
-formatted a whole column at a time: each writer builds a ``%.15g`` template
-for its file and fills it from one flat float list, and a scan formats its
-time column once and reuses it for every row on the same grid.
+formatted a whole column at a time: each writer builds a template with one
+``"%s%s"`` cell per number and fills it in one ``%`` from ``_cells``, which
+works out each value's correctly rounded 15-digit significand in NumPy, so
+C prints integers rather than running ``%.15g`` per value.  A scan formats
+its time column once and reuses it for every row on the same grid.
 
 Exit codes: 0 success, 1 usage error, 2 numerical invariant breach,
 3 configuration error.
@@ -34,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import enumerate_basis
 from .effective import effective_g_omega
 from .errors import (ConfigurationError, NumericalInvariantError,
                      TwoPhotonError)
@@ -52,20 +55,80 @@ EXIT_CONFIG = 3
 
 OUTDIR_ENV = "TWOPHOTON_OUTDIR"
 
-NUMBER = "%.15g"    # 15 significant digits; the same bytes as f"{x:.15g}"
+NUMBER = "%.15g"    # the bytes of f"{x:.15g}": one-liners and _cells' fallback
+CELL = "%s%s"       # one CSV number: the two strings _cells gives per value
+
+# _cells' decades: np.searchsorted(_DECADES, v, side="right") is 1..4 for
+# k = 18..15.  Each bound is the double just above 10**-j, so comparing
+# against it is exact, and each 10**k is an exact double.
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+_PREFIX = np.array(["", "0.000", "0.00", "0.0", "0.", ""], dtype=object)
+_SPLIT = 134217729.0    # 2**27 + 1: Veltkamp's splitting constant
+
+
+def _halves(x):
+    """x = high + low with each half 26 bits wide, so products are exact."""
+    c = _SPLIT * x
+    high = c - (c - x)
+    return high, x - high
+
+
+# Split in Python floats: NumPy arithmetic at import would add its first-use
+# resident memory to every command, whether or not it writes a CSV.
+_SCALE, _SCALE_HIGH, _SCALE_LOW = np.array(
+    [(p, *_halves(p)) for p in (float(10 ** k) for k in range(19, 13, -1))]).T
 
 
 def _fmt(x: float) -> str:
     return NUMBER % float(x)
 
 
+def _cells(values) -> list:
+    """The two ``CELL`` strings of each value, in order: ``%.15g`` in two parts.
+
+    For 1e-4 <= v < 1, with k in 15..18 putting v * 10**k in [1e14, 1e15),
+    the parts are ``"0."`` plus k - 15 zeros, and the integer m, v * 10**k
+    correctly rounded, with its trailing zeros dropped.  m comes from
+    Dekker's exact product v * 10**k = hi + lo: rint(hi) is right unless hi
+    lies half way between integers, where the sign of lo decides, and an
+    exact tie stays half-even as in ``%.15g``.
+    Every other value (0, negatives, v >= 1, v < 1e-4, non-finite, and a
+    rounding that carries to 10**15) is ``(NUMBER % v, "")``.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    decade = np.searchsorted(_DECADES, v, side="right")
+    fast = (decade >= 1) & (decade <= 4)
+    x = np.where(fast, v, 0.5)          # keeps the rest finite and in range
+    scale = _SCALE[decade]
+    scale_high, scale_low = _SCALE_HIGH[decade], _SCALE_LOW[decade]
+    x_high, x_low = _halves(x)
+    hi = x * scale
+    lo = (((x_high * scale_high - hi) + x_high * scale_low + x_low * scale_high)
+          + x_low * scale_low)
+    m = np.rint(hi)
+    twice = 2.0 * (hi - m)              # +-1 where hi is half way
+    m += twice * (twice == np.sign(lo))
+    fast &= m < 1e15
+    for q in (1e8, 1e4, 1e2, 1e1):      # drop up to 14 trailing zeros
+        r = np.rint(m / q)              # exact wherever q divides m
+        m = np.where(r * q == m, r, m)
+    cells = np.empty((v.size, 2), dtype=object)
+    cells[:, 0] = _PREFIX[decade]
+    cells[:, 1] = m.astype(np.int64)
+    slow = ~fast
+    if slow.any():
+        cells[slow, 0] = [NUMBER % value for value in v[slow].tolist()]
+        cells[slow, 1] = ""
+    return cells.ravel().tolist()
+
+
 def _fill(template: str, values) -> str:
-    """Fill the ``%.15g`` cells of ``template``, in order, from ``values``.
+    """Fill the ``CELL`` cells of ``template``, in order, from ``values``.
 
     This is where every CSV number is formatted: the whole column (or
-    table, raveled row by row) goes through one ``%`` in C.
+    table, raveled row by row) goes through ``_cells`` and one ``%`` in C.
     """
-    return template % tuple(np.asarray(values, dtype=float).ravel().tolist())
+    return template % tuple(_cells(values))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -173,9 +236,9 @@ def _resolve_axis_values(args, cfg: dict) -> np.ndarray:
 def _series_template(times) -> str:
     """The body of a ``g1_t,value`` file on ``times``, values left as cells.
 
-    Each time is formatted here; ``%%`` keeps a ``%.15g`` cell per value.
+    Each time is formatted here; the escaped second cell stays for its value.
     """
-    return _fill(f"{NUMBER},%{NUMBER}\n" * len(times), times)
+    return _fill(f"{CELL},{CELL.replace('%', '%%')}\n" * len(times), times)
 
 
 def _write_series_csv(path: Path, template: str, values) -> None:
@@ -230,6 +293,8 @@ def _cmd_master(args) -> int:
     horizon = _resolve_number(args, cfg, "horizon", DEFAULT_HORIZON)
     substep = _resolve_number(args, cfg, "substep")
     state = _resolve_scalar(args, cfg, "state")
+    if state is not None:           # refuse an unknown label before evolving
+        enumerate_basis(kind, damped=True).index_of(state)
     outdir = _resolve_outdir(args)
 
     grid = time_grid(horizon)
@@ -260,7 +325,7 @@ def _write_summary_csv(path: Path, rows: list[dict]) -> None:
     if not rows:
         raise ConfigurationError("no sweep rows to summarize")
     keys = list(rows[0])
-    template = (",".join([NUMBER] * len(keys)) + "\n") * len(rows)
+    template = (",".join([CELL] * len(keys)) + "\n") * len(rows)
     _write_text(path, ",".join(keys) + "\n"
                 + _fill(template, [[row[k] for k in keys] for row in rows]))
 
@@ -368,7 +433,7 @@ def _cmd_spectrum(args) -> int:
 
     eigenvalues, lines = spectrum_lines(params, kind)
     out = outdir / "spectrum.csv"
-    template = "".join(f"{quantity},{i},{NUMBER}\n"
+    template = "".join(f"{quantity},{i},{CELL}\n"
                        for quantity, column in (("eigenvalue", eigenvalues),
                                                 ("line", lines))
                        for i in range(len(column)))

@@ -28,7 +28,8 @@ import numpy as np
 from .basis import Basis, enumerate_basis
 from .errors import ConfigurationError, NumericalInvariantError
 from .integrate import default_substep, propagate_grid, validate_grid
-from .operators import build_hamiltonian, build_jump_operators, excitation_numbers
+from .operators import (build_hamiltonian, build_jump_operators,
+                        damped_operators, excitation_numbers)
 from .params import ModelParams, SystemKind
 from .unitary import TimeSeries
 
@@ -75,38 +76,50 @@ def _check_trajectory(rhos: np.ndarray, t: np.ndarray,
     ``support`` (boolean over rho.ravel(); None: all) marks the entries that
     may be non-zero.  With its transpose and the diagonal it splits the
     basis into connected diagonal blocks; other entries are not read, and a
-    full pattern is one d x d block.  Per batch of ``CHECK_CHUNK``: a stacked
-    trace and a Hermiticity maximum over the pattern, then, on the blocks'
-    Hermitian parts before the first such breach (so finite), one stacked
-    Cholesky per block of rho_block + (|EIGENVALUE_FLOOR| - SCREEN_MARGIN) I.
-    It succeeds only if no eigenvalue is below the floor; a batch it rejects
-    gets per-block ``eigvalsh``, whose per-point minimum is the defect.
-    Trace is reported before Hermiticity, Hermiticity before positivity;
-    a NaN defect is a breach (``not defect <= tol``).
+    full pattern is one d x d block.  A block of consecutive basis indices
+    (the full one) is read by slicing, any other by a gather.  Per batch of
+    ``CHECK_CHUNK``: a stacked trace and a Hermiticity maximum over the
+    blocks, then, on the blocks' Hermitian parts before the first such
+    breach (so finite), one stacked Cholesky per block of
+    rho_block + (|EIGENVALUE_FLOOR| - SCREEN_MARGIN) I.  It succeeds only if
+    no eigenvalue is below the floor; a batch it rejects gets per-block
+    ``eigvalsh``, whose per-point minimum is the defect.  Trace is reported
+    before Hermiticity, Hermiticity before positivity; a NaN defect is a
+    breach (``not defect <= tol``).
     """
     d = rhos.shape[-1]
     mask = np.ones((d, d), dtype=bool) if support is None else support.reshape(d, d)
     mask = mask | mask.T | np.eye(d, dtype=bool)
     reach = np.linalg.matrix_power(mask, d)         # connectivity
-    blocks = [np.flatnonzero(row) for row in np.unique(reach, axis=0)]
-    rows, cols = np.nonzero(mask)
+    keys = []
+    for row in np.unique(reach, axis=0):
+        b = np.flatnonzero(row)
+        run = slice(b[0], b[-1] + 1)
+        keys.append((slice(None), run, run) if b[-1] - b[0] + 1 == len(b)
+                    else (slice(None), b[:, None], b))
     shift = abs(EIGENVALUE_FLOOR) - SCREEN_MARGIN
     for start in range(0, len(rhos), CHECK_CHUNK):
         chunk = rhos[start:start + CHECK_CHUNK]
         traces = np.trace(chunk, axis1=1, axis2=2)
         trace_defect = np.abs(traces.real - 1.0) + np.abs(traces.imag)
-        herm_defect = np.abs(chunk[:, rows, cols] - chunk[:, cols, rows].conj()).max(1)
+        parts = [chunk[key] for key in keys]
+        adjoints = [part.conj().swapaxes(1, 2) for part in parts]
+        herm_defect = np.max([np.abs(part - adjoint).max(axis=(1, 2))
+                              for part, adjoint in zip(parts, adjoints)], axis=0)
         bad = ~((trace_defect <= TRACE_TOLERANCE)
                 & (herm_defect <= HERMITICITY_TOLERANCE))
         n = int(np.argmax(bad)) if bad.any() else len(chunk)
-        parts = [chunk[:n, b[:, None], b] for b in blocks]
-        parts = [0.5 * (part + part.conj().swapaxes(1, 2)) for part in parts]
+        hermitian = [0.5 * (part[:n] + adjoint[:n])
+                     for part, adjoint in zip(parts, adjoints)]
         try:
-            for part in parts:
-                np.linalg.cholesky(part + shift * np.eye(part.shape[-1]))
-        except np.linalg.LinAlgError:
-            smallest = np.min([np.linalg.eigvalsh(part).min(axis=1)
-                               for part in parts], axis=0)
+            for block in hermitian:
+                diagonal = np.arange(block.shape[-1])
+                block[:, diagonal, diagonal] += shift   # block is a fresh array
+                np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:      # the screen shifted its copies
+            smallest = np.min([
+                np.linalg.eigvalsh(0.5 * (part[:n] + adjoint[:n])).min(axis=1)
+                for part, adjoint in zip(parts, adjoints)], axis=0)
             negative = ~(smallest >= EIGENVALUE_FLOOR)
             if negative.any():
                 i = int(np.argmax(negative))
@@ -158,9 +171,9 @@ def _generator(kind: SystemKind, params: ModelParams, dim: int,
     """Rows and columns ``idx`` (default: all) of the master-equation generator
     on vec(rho) = rho.ravel(), built from those unit matrices alone."""
     units = np.eye(dim * dim, dtype=complex)[idx]
+    hamiltonian, jumps = damped_operators(kind, params)
     columns = lindblad_rhs(kind, params, units.reshape(-1, dim, dim),
-                           hamiltonian=build_hamiltonian(kind, params, damped=True),
-                           jumps=build_jump_operators(kind))
+                           hamiltonian=hamiltonian, jumps=jumps)
     return np.ascontiguousarray(columns.reshape(len(units), -1)[:, idx].T)
 
 

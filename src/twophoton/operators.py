@@ -160,6 +160,12 @@ def _damped_operators(kind: SystemKind, p: ModelParams):
     return h, jumps
 
 
+def _finite(h: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(h)):     # e.g. sqrt(2) * 1e308 overflows
+        raise ConfigurationError("parameters too large: non-finite Hamiltonian entries")
+    return h
+
+
 # ---------------------------------------------------------------------------
 # public interface
 # ---------------------------------------------------------------------------
@@ -182,15 +188,24 @@ def build_hamiltonian(kind: SystemKind | str, params: ModelParams,
     kind = SystemKind.coerce(kind)
     params.validate_for_kind(kind)
     if damped:
-        with np.errstate(over="ignore", invalid="ignore"):    # checked below
-            h, _ = _damped_operators(kind, params)
-    elif kind is SystemKind.BIMODAL:
-        h = _bimodal_unitary_hamiltonian(params)
-    else:
-        h = _single_mode_unitary_hamiltonian(params)
-    if not np.all(np.isfinite(h)):     # e.g. sqrt(2) * 1e308 overflows
-        raise ConfigurationError("parameters too large: non-finite Hamiltonian entries")
-    return h
+        return damped_operators(kind, params)[0]
+    if kind is SystemKind.BIMODAL:
+        return _finite(_bimodal_unitary_hamiltonian(params))
+    return _finite(_single_mode_unitary_hamiltonian(params))
+
+
+def damped_operators(kind: SystemKind | str,
+                     params: ModelParams) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``build_hamiltonian(kind, params, damped=True)`` and
+    ``build_jump_operators(kind)`` from one ambient construction.
+
+    Every operator still passes the exact-closure check.
+    """
+    kind = SystemKind.coerce(kind)
+    params.validate_for_kind(kind)
+    with np.errstate(over="ignore", invalid="ignore"):    # checked by _finite
+        h, jumps = _damped_operators(kind, params)
+    return _finite(h), jumps
 
 
 def build_jump_operators(kind: SystemKind | str) -> list[np.ndarray]:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twophoton
 import twophoton.cli as cli
@@ -87,6 +89,32 @@ def test_csv_writers_match_per_value_formatting(tmp_path):
     cli._write_summary_csv(path, rows)
     assert path.read_text() == ("axis,peak_value,peak_time\n"
                                 + per_value(values, values[::-1], times))
+
+
+# every double in _cells' fast class [1e-4, 1), drawn by bit pattern: full
+# 53-bit significands put v * 10**k half way between integers in a few per
+# cent of draws, where only the sign of the exact product's error is right
+FAST_CLASS = st.integers(int(np.float64(1e-4).view(np.int64)),
+                         int(np.float64(1.0).view(np.int64)) - 1).map(
+    lambda bits: float(np.int64(bits).view(np.float64)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.floats() | st.floats(1e-4, 1.0, exclude_max=True)
+                       | FAST_CLASS, min_size=1, max_size=40))
+# the class edges, and roundings that carry to 1 and to 1e-3
+@example(values=[float(np.nextafter(1e-4, 0.0)), float(np.nextafter(1e-4, 1.0)),
+                 float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0))])
+@example(values=[0.9999999999999995, 0.99999999999999994,
+                 0.000099999999999999995, 0.0009999999999999995])
+@example(values=[-0.0, 5e-324])
+# exact m + 0.5 ties (odd m rounds up, even m stays), then half-way products
+# that are not ties
+@example(values=[6555 / 65536, 6557 / 65536])
+@example(values=[0.7857857007138075, 0.0585680348051944, 0.0007474378049531066])
+def test_fill_matches_per_value_formatting(values):
+    template = ",".join([cli.CELL] * len(values))
+    assert cli._fill(template, values) == ",".join(f"{x:.15g}" for x in values)
 
 
 @pytest.mark.parametrize("grids", ["shared", "distinct"])
@@ -291,6 +319,20 @@ def test_master_falsy_state_exits_three(tmp_path, capsys, cfg, flags):
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1
     assert not (tmp_path / "out" / "master.csv").exists()
+
+
+def test_master_unknown_state_exits_three_before_evolving(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolved before checking the state label")
+
+    monkeypatch.setattr(cli, "evolve_density", no_evolution)
+    assert main(["master", "--kappa-a", "0.1", "--state", "nope",
+                 "--horizon", "600", "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "master.csv").exists()
 
 
 def test_invariant_breach_exits_two(tmp_path):
