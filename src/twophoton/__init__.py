@@ -25,7 +25,8 @@ from .experiments import (EnvelopeComparison, ResonanceReport, SweepResult,
                           time_grid)
 from .integrate import default_substep
 from .lindblad import (DensityMatrix, DensityTrajectory, evolve_density,
-                       lindblad_rhs, population_series, two_photon_population)
+                       evolve_population, lindblad_rhs, population_series,
+                       two_photon_population)
 from .operators import (build_hamiltonian, build_jump_operators,
                         embed_unitary_sector, excitation_numbers,
                         spectrum_lines)
@@ -55,8 +56,8 @@ __all__ = [
     "SweepSpec", "damping_sweep", "default_horizon", "envelope_compare",
     "resonance_report", "scan_two_photon", "time_grid",
     "default_substep",
-    "DensityMatrix", "DensityTrajectory", "evolve_density", "lindblad_rhs",
-    "population_series", "two_photon_population",
+    "DensityMatrix", "DensityTrajectory", "evolve_density", "evolve_population",
+    "lindblad_rhs", "population_series", "two_photon_population",
     "build_hamiltonian", "build_jump_operators", "embed_unitary_sector",
     "excitation_numbers", "spectrum_lines",
     "ModelParams", "SystemKind",

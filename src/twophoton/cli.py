@@ -23,7 +23,7 @@ C prints integers rather than running ``%.15g`` per value.  A scan formats
 its time column once and reuses it for every row on the same grid.
 
 Exit codes: 0 success, 1 usage error, 2 numerical invariant breach,
-3 configuration error.
+3 configuration error (running out of memory counts: the grid is too long).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (ConfigurationError, NumericalInvariantError,
 from .experiments import (DEFAULT_HORIZON, PEAK_GRID_STEP, SweepSpec, axis_grid,
                           damping_sweep, default_horizon, engine_version,
                           resonance_report, scan_two_photon, time_grid)
-from .lindblad import evolve_density, population_series, two_photon_population
+from .lindblad import evolve_population
 from .operators import spectrum_lines
 from .params import PARAM_FIELDS, ModelParams, SystemKind
 from .unitary import evolve_amplitudes, two_photon_probability
@@ -209,6 +209,14 @@ def _resolve_outdir(args) -> Path:
     return path
 
 
+def _time_grid(args, horizon: float) -> np.ndarray:
+    """``time_grid(horizon)``, its size kept on ``args`` for ``main``'s
+    out-of-memory message."""
+    grid = time_grid(horizon)
+    args.grid_points = grid.size
+    return grid
+
+
 def _resolve_axis_values(args, cfg: dict) -> np.ndarray:
     start = getattr(args, "start", None)
     stop = getattr(args, "stop", None)
@@ -275,7 +283,7 @@ def _cmd_evolve(args) -> int:
     substep = _resolve_number(args, cfg, "substep")
     outdir = _resolve_outdir(args)
 
-    grid = time_grid(horizon)
+    grid = _time_grid(args, horizon)
     series = two_photon_probability(
         evolve_amplitudes(kind, params, grid, substep=substep))
     out = outdir / "evolve.csv"
@@ -297,10 +305,8 @@ def _cmd_master(args) -> int:
         enumerate_basis(kind, damped=True).index_of(state)
     outdir = _resolve_outdir(args)
 
-    grid = time_grid(horizon)
-    states = evolve_density(kind, params, grid, substep=substep)
-    series = (population_series(states, state) if state is not None
-              else two_photon_population(states))
+    grid = _time_grid(args, horizon)
+    series = evolve_population(kind, params, grid, state, substep=substep)
     out = outdir / "master.csv"
     _write_series_csv(out, _series_template(series.times), series.values)
     _write_manifest(outdir, "master", kind, params, [out.name],
@@ -339,6 +345,7 @@ def _cmd_scan(args) -> int:
     substep = _resolve_number(args, cfg, "substep")
     outdir = _resolve_outdir(args)
 
+    _time_grid(args, horizon)
     if axis == "kappa":
         kappas = _resolve_scalar(args, cfg, "kappas")
         if kappas is None:
@@ -536,6 +543,12 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
     except TwoPhotonError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        points = getattr(args, "grid_points", None)
+        grid = f"a {points}-point time grid" if points else "this run"
+        print(f"configuration error: out of memory on {grid}; "
+              "use a shorter horizon", file=sys.stderr)
         return EXIT_CONFIG
 
 

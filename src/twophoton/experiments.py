@@ -21,7 +21,7 @@ import numpy as np
 from .effective import closed_form_probability, effective_g_omega, resonance_detuning
 from .errors import ConfigurationError, NoRootInInterval, SingularityError
 from .integrate import default_substep
-from .lindblad import evolve_density, two_photon_population
+from .lindblad import evolve_population
 from .params import ModelParams, SystemKind
 from .unitary import TimeSeries, evolve_amplitudes, two_photon_probability
 
@@ -272,8 +272,7 @@ def damping_sweep(kind: SystemKind | str = SystemKind.BIMODAL,
             run = params.replace(kappa_a=kappa, kappa_b=kappa)
         else:
             run = params.replace(kappa_a=kappa, kappa_b=0.0)
-        states = evolve_density(kind, run, grid, substep=used_substep)
-        series = two_photon_population(states)
+        series = evolve_population(kind, run, grid, substep=used_substep)
         peak_value, peak_time = _peak(series)
         first_peak = float(np.max(series.values[first_mask]))
         late_peak = float(np.max(series.values[late_mask]))

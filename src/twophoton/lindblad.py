@@ -14,9 +14,13 @@ generator on vec(rho), built by ``lindblad_rhs`` (the one home of the
 dissipator algebra) from that sector's unit matrices, and is stepped by
 :func:`twophoton.integrate.propagate_grid`; none is derived from another
 by conjugation, so the Hermiticity check still tests the dynamics.
-``_check_trajectory`` reads only the occupied entries, so a dN = 0 state
-(block-diagonal in N: 8/4/1 bimodal, 4/3/1 single-mode) is checked block
-by block.  The first breach in time order aborts the run.
+The propagated sectors sit side by side in one (nt, m + 1) array whose
+last column is zero, and a (d, d) map gives the column of each rho[i, j].
+``_check_columns`` reads only the occupied entries through that map, so a
+dN = 0 state (block-diagonal in N: 8/4/1 bimodal, 4/3/1 single-mode) is
+checked block by block.  The first breach in time order aborts the run.
+``evolve_population`` then reads one column; only ``evolve_density``
+gathers the full (nt, d, d) stack.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ import numpy as np
 from .basis import Basis, enumerate_basis
 from .errors import ConfigurationError, NumericalInvariantError
 from .integrate import default_substep, propagate_grid, validate_grid
-from .operators import (build_hamiltonian, build_jump_operators,
-                        damped_operators, excitation_numbers)
+from .operators import damped_operators, excitation_numbers
 from .params import ModelParams, SystemKind
 from .unitary import TimeSeries
 
@@ -47,11 +50,6 @@ class DensityMatrix:
     basis: Basis
     matrix: np.ndarray
     time: float
-
-    def population(self, label: str) -> float:
-        """Diagonal occupation of the labeled basis state."""
-        idx = self.basis.index_of(label)
-        return float(self.matrix[idx, idx].real)
 
     def validate(self) -> None:
         """Raise if trace, Hermiticity, or positivity are out of tolerance."""
@@ -74,36 +72,52 @@ def _check_trajectory(rhos: np.ndarray, t: np.ndarray,
     """Raise at the first point of an (nt, d, d) stack that fails an invariant.
 
     ``support`` (boolean over rho.ravel(); None: all) marks the entries that
-    may be non-zero.  With its transpose and the diagonal it splits the
-    basis into connected diagonal blocks; other entries are not read, and a
-    full pattern is one d x d block.  A block of consecutive basis indices
-    (the full one) is read by slicing, any other by a gather.  Per batch of
-    ``CHECK_CHUNK``: a stacked trace and a Hermiticity maximum over the
-    blocks, then, on the blocks' Hermitian parts before the first such
-    breach (so finite), one stacked Cholesky per block of
-    rho_block + (|EIGENVALUE_FLOOR| - SCREEN_MARGIN) I.  It succeeds only if
-    no eigenvalue is below the floor; a batch it rejects gets per-block
-    ``eigvalsh``, whose per-point minimum is the defect.  Trace is reported
-    before Hermiticity, Hermiticity before positivity; a NaN defect is a
-    breach (``not defect <= tol``).
+    may be non-zero; see :func:`_check_columns`, which reads the stack as
+    its (nt, d*d) columns.
     """
     d = rhos.shape[-1]
     mask = np.ones((d, d), dtype=bool) if support is None else support.reshape(d, d)
-    mask = mask | mask.T | np.eye(d, dtype=bool)
+    _check_columns(rhos.reshape(len(rhos), d * d), t,
+                   np.arange(d * d).reshape(d, d), mask)
+
+
+def _check_columns(y: np.ndarray, t: np.ndarray, cols: np.ndarray,
+                   support: np.ndarray) -> None:
+    """Raise at the first point that fails an invariant; rho[i, j] at time
+    t[k] is ``y[k, cols[i, j]]``.
+
+    ``support`` (boolean, d x d) marks the entries that may be non-zero.
+    With its transpose and the diagonal it splits the basis into connected
+    diagonal blocks; other entries are not read.  Each block is
+    gathered by ``np.take`` on its columns, its conjugate partner on the
+    transposed columns.  Per batch of ``CHECK_CHUNK``: a stacked trace and a
+    Hermiticity maximum over the blocks, then, on the blocks' Hermitian
+    parts before the first such breach (so finite), one stacked Cholesky per
+    block of rho_block + (|EIGENVALUE_FLOOR| - SCREEN_MARGIN) I.  It
+    succeeds only if no eigenvalue is below the floor; a batch it rejects
+    gets per-block ``eigvalsh``, whose per-point minimum is the defect.
+    Trace is reported before Hermiticity, Hermiticity before positivity; a
+    NaN defect is a breach (``not defect <= tol``).
+    """
+    d = len(cols)
+    mask = support | support.T | np.eye(d, dtype=bool)
     reach = np.linalg.matrix_power(mask, d)         # connectivity
-    keys = []
+    blocks = []
     for row in np.unique(reach, axis=0):
         b = np.flatnonzero(row)
-        run = slice(b[0], b[-1] + 1)
-        keys.append((slice(None), run, run) if b[-1] - b[0] + 1 == len(b)
-                    else (slice(None), b[:, None], b))
+        own = cols[np.ix_(b, b)]
+        blocks.append((own.ravel(), own.T.ravel(), len(b)))
+    diagonal = cols.diagonal()
     shift = abs(EIGENVALUE_FLOOR) - SCREEN_MARGIN
-    for start in range(0, len(rhos), CHECK_CHUNK):
-        chunk = rhos[start:start + CHECK_CHUNK]
-        traces = np.trace(chunk, axis1=1, axis2=2)
+    for start in range(0, len(y), CHECK_CHUNK):
+        chunk = y[start:start + CHECK_CHUNK]
+        traces = np.take(chunk, diagonal, axis=1).sum(axis=1)
         trace_defect = np.abs(traces.real - 1.0) + np.abs(traces.imag)
-        parts = [chunk[key] for key in keys]
-        adjoints = [part.conj().swapaxes(1, 2) for part in parts]
+        parts, adjoints = [], []
+        for own, partner, k in blocks:
+            parts.append(np.take(chunk, own, axis=1).reshape(-1, k, k))
+            adjoint = np.take(chunk, partner, axis=1).reshape(-1, k, k)
+            adjoints.append(np.conjugate(adjoint, out=adjoint))
         herm_defect = np.max([np.abs(part - adjoint).max(axis=(1, 2))
                               for part, adjoint in zip(parts, adjoints)], axis=0)
         bad = ~((trace_defect <= TRACE_TOLERANCE)
@@ -113,8 +127,8 @@ def _check_trajectory(rhos: np.ndarray, t: np.ndarray,
                      for part, adjoint in zip(parts, adjoints)]
         try:
             for block in hermitian:
-                diagonal = np.arange(block.shape[-1])
-                block[:, diagonal, diagonal] += shift   # block is a fresh array
+                diag = np.arange(block.shape[-1])
+                block[:, diag, diag] += shift   # block is a fresh array
                 np.linalg.cholesky(block)
         except np.linalg.LinAlgError:      # the screen shifted its copies
             smallest = np.min([
@@ -150,10 +164,10 @@ def lindblad_rhs(kind: SystemKind | str, params: ModelParams,
     """
     kind = SystemKind.coerce(kind)
     params.validate_for_kind(kind)
-    if hamiltonian is None:
-        hamiltonian = build_hamiltonian(kind, params, damped=True)
-    if jumps is None:
-        jumps = build_jump_operators(kind)
+    if hamiltonian is None or jumps is None:      # one ambient build for both
+        built_h, built_jumps = damped_operators(kind, params)
+        hamiltonian = built_h if hamiltonian is None else hamiltonian
+        jumps = built_jumps if jumps is None else jumps
     kappas = [params.kappa_a, params.kappa_b][: len(jumps)]
 
     rho = np.asarray(rho, dtype=complex)
@@ -190,6 +204,41 @@ def _initial_density(basis: Basis, initial) -> np.ndarray:
     return rho0
 
 
+def _evolve_sectors(kind: SystemKind, params: ModelParams, t: np.ndarray,
+                    initial, substep: float | None):
+    """Propagate and check each dN sector ``initial`` occupies.
+
+    Returns ``(basis, y, cols)``: ``y`` (nt, m + 1) holds the sectors side
+    by side (ascending dN, each in vec(rho) order) and a last, zero column;
+    rho[i, j] is ``y[:, cols[i, j]]``, the zero column outside the sectors.
+    """
+    basis = enumerate_basis(kind, damped=True)
+    y0 = _initial_density(basis, initial).ravel()
+    if substep is None:
+        substep = default_substep(params.delta_cap, params.delta_small,
+                                  params.g1, params.g2)
+
+    d = basis.dim
+    n = excitation_numbers(basis)
+    sector = np.subtract.outer(n, n).ravel()        # dN of each vec(rho) entry
+    dns = np.unique(sector[y0 != 0])
+    m = int(np.isin(sector, dns).sum())
+    cols = np.full(d * d, m)
+    y = np.empty((t.size, m + 1), dtype=complex)
+    y[:, m] = 0.0
+    start = 0
+    for dn in dns:
+        idx = np.flatnonzero(sector == dn)
+        stop = start + idx.size
+        cols[idx] = np.arange(start, stop)
+        y[:, start:stop] = propagate_grid(_generator(kind, params, d, idx), t,
+                                          y0[idx], substep=substep)
+        start = stop
+    cols = cols.reshape(d, d)
+    _check_columns(y, t, cols, cols < m)
+    return basis, y, cols
+
+
 def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
                    initial=None, substep: float | None = None) -> DensityTrajectory:
     """Integrate the master equation over an output grid.
@@ -201,38 +250,45 @@ def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
     """
     kind = SystemKind.coerce(kind)
     params.validate_for_kind(kind)
-    basis = enumerate_basis(kind, damped=True)
     t = validate_grid(t_grid)
-    y0 = _initial_density(basis, initial).ravel()
-    if substep is None:
-        substep = default_substep(params.delta_cap, params.delta_small,
-                                  params.g1, params.g2)
-
-    d = basis.dim
-    n = excitation_numbers(basis)
-    sector = np.subtract.outer(n, n).ravel()        # dN of each vec(rho) entry
-    rhos = np.zeros((t.size, d * d), dtype=complex)
-    for dn in np.unique(sector[y0 != 0]):
-        idx = np.flatnonzero(sector == dn)
-        rhos[:, idx] = propagate_grid(_generator(kind, params, d, idx), t,
-                                      y0[idx], substep=substep)
-    rhos = rhos.reshape(t.size, d, d)
-    _check_trajectory(rhos, t, np.isin(sector, sector[y0 != 0]))
-    return DensityTrajectory(times=t, values=rhos, basis=basis)
+    basis, y, cols = _evolve_sectors(kind, params, t, initial, substep)
+    return DensityTrajectory(times=t, values=np.take(y, cols, axis=1),
+                             basis=basis)
 
 
-def population_series(states: DensityTrajectory, label: str) -> TimeSeries:
-    """Occupation of one basis state along a density-matrix trajectory."""
+def evolve_population(kind: SystemKind | str, params: ModelParams, t_grid,
+                      label: str | None = None, initial=None,
+                      substep: float | None = None) -> TimeSeries:
+    """Occupation of basis state ``label`` (None: the two-photon target)
+    under the master equation.
+
+    The same run and checks as :func:`evolve_density`, read from the
+    propagated sectors without building the (nt, d, d) stack.  An unknown
+    label is refused before anything is evolved.
+    """
+    kind = SystemKind.coerce(kind)
+    params.validate_for_kind(kind)
+    i = _index(enumerate_basis(kind, damped=True), label)
+    t = validate_grid(t_grid)
+    _, y, cols = _evolve_sectors(kind, params, t, initial, substep)
+    return TimeSeries(times=t, values=y[:, cols[i, i]].real.copy())
+
+
+def _index(basis: Basis, label: str | None) -> int:
+    return basis.two_photon_index if label is None else basis.index_of(label)
+
+
+def population_series(states: DensityTrajectory,
+                      label: str | None) -> TimeSeries:
+    """Occupation of one basis state (None: the two-photon target) along a
+    density-matrix trajectory."""
     if not states:
         raise ConfigurationError("empty density-matrix trajectory")
-    idx = states.basis.index_of(label)
+    i = _index(states.basis, label)
     return TimeSeries(times=states.times,
-                      values=states.values[:, idx, idx].real.copy())
+                      values=states.values[:, i, i].real.copy())
 
 
 def two_photon_population(states: DensityTrajectory) -> TimeSeries:
     """Occupation of the two-photon target state along a trajectory."""
-    if not states:
-        raise ConfigurationError("empty density-matrix trajectory")
-    label = states.basis.labels()[states.basis.two_photon_index]
-    return population_series(states, label)
+    return population_series(states, None)

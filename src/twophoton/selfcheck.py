@@ -18,7 +18,8 @@ from .basis import enumerate_basis
 from .effective import (closed_form_probability, effective_hamiltonian,
                         interference_amplitude,
                         resolvent_effective_hamiltonian)
-from .lindblad import evolve_density, two_photon_population
+from .integrate import validate_grid
+from .lindblad import _evolve_sectors, evolve_population
 from .operators import (build_hamiltonian, build_jump_operators,
                         embed_unitary_sector, excitation_numbers)
 from .params import ModelParams, SystemKind
@@ -65,8 +66,7 @@ def _check_undamped_density() -> CheckResult:
     kind = SystemKind.BIMODAL
     params = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5)
     grid = np.linspace(0.0, 5.0, 51)
-    states = evolve_density(kind, params, grid)
-    damped = two_photon_population(states).values
+    damped = evolve_population(kind, params, grid).values
     coherent = two_photon_probability(
         evolve_amplitudes(kind, params, grid)).values
     worst = float(np.max(np.abs(damped - coherent)))
@@ -76,7 +76,7 @@ def _check_undamped_density() -> CheckResult:
 
 def no_jump_deviation(kind: SystemKind | str, params: ModelParams,
                       grid) -> float:
-    """Max deviation of ``evolve_density``'s top excitation block from psi psi^+.
+    """Max deviation of the damped engine's top excitation block from psi psi^+.
 
     No jump feeds the top block N = 2, so there rho = psi psi^+ with
     psi' = -i(H - i sum_m kappa_m a_m^+ a_m) psi from the initial state
@@ -91,9 +91,10 @@ def no_jump_deviation(kind: SystemKind | str, params: ModelParams,
         h_eff -= 1j * kappa * (c.T @ c)
     lam, vec = np.linalg.eig(h_eff[np.ix_(top, top)])
     coeff = np.linalg.solve(vec, (top == basis.initial_index).astype(complex))
-    grid = np.asarray(grid, dtype=float)
+    grid = validate_grid(grid)
     psi = (np.exp(-1j * np.outer(grid - grid[0], lam)) * coeff) @ vec.T
-    rho = evolve_density(kind, params, grid).values[:, top[:, None], top]
+    _, y, cols = _evolve_sectors(kind, params, grid, None, None)
+    rho = np.take(y, cols[np.ix_(top, top)], axis=1)
     return float(np.max(np.abs(rho - psi[:, :, None] * psi[:, None, :].conj())))
 
 

@@ -326,12 +326,27 @@ def test_master_unknown_state_exits_three_before_evolving(tmp_path, capsys,
     def no_evolution(*args, **kwargs):
         raise AssertionError("evolved before checking the state label")
 
-    monkeypatch.setattr(cli, "evolve_density", no_evolution)
+    monkeypatch.setattr(cli, "evolve_population", no_evolution)
     assert main(["master", "--kappa-a", "0.1", "--state", "nope",
                  "--horizon", "600", "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1
+    assert not (tmp_path / "master.csv").exists()
+
+
+def test_out_of_memory_exits_three_naming_the_grid(tmp_path, capsys,
+                                                   monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "evolve_population", exhausted)
+    assert main(["master", "--kappa-a", "0.1", "--horizon", "600",
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+    assert "60001-point time grid" in err and "shorter horizon" in err
     assert not (tmp_path / "master.csv").exists()
 
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from twophoton import (ConfigurationError, DensityMatrix, ModelParams,
-                       NumericalInvariantError, default_substep,
+                       NumericalInvariantError, build_hamiltonian,
+                       build_jump_operators, default_substep,
                        embed_unitary_sector, enumerate_basis,
-                       evolve_amplitudes, evolve_density, lindblad_rhs,
-                       population_series, time_grid, two_photon_population)
-from twophoton import integrate, lindblad
+                       evolve_amplitudes, evolve_density, evolve_population,
+                       lindblad_rhs, population_series, time_grid,
+                       two_photon_population)
+from twophoton import integrate, lindblad, operators
 from twophoton.operators import excitation_numbers
 from twophoton.selfcheck import no_jump_deviation
 
@@ -40,6 +42,28 @@ def test_rhs_preserves_trace_and_hermiticity(kind, dim):
         deriv = lindblad_rhs(kind, p, rho)
         assert abs(np.trace(deriv)) < 1e-12
         assert np.max(np.abs(deriv - deriv.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("kind,dim", [("bimodal", 13), ("single_mode", 8)])
+def test_default_operators_take_one_build(monkeypatch, kind, dim):
+    # the defaulted rhs builds the damped sector once and equals the call
+    # with the operators passed in
+    p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5, kappa_a=0.1,
+                    kappa_b=0.05 if kind == "bimodal" else 0.0)
+    rho = random_density(dim, np.random.default_rng(13))
+    explicit = lindblad_rhs(kind, p, rho,
+                            hamiltonian=build_hamiltonian(kind, p, damped=True),
+                            jumps=build_jump_operators(kind))
+    original = operators._damped_operators
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(operators, "_damped_operators", counting)
+    assert np.array_equal(lindblad_rhs(kind, p, rho), explicit)
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("kind,dim", [("bimodal", 13), ("single_mode", 8)])
@@ -208,7 +232,7 @@ def test_damping_lowers_two_photon_peak():
 def test_everything_relaxes_to_vacuum():
     states = evolve_density("bimodal", DAMPED_PARAMS, [0.0, 500.0])
     final = states[-1]
-    assert final.population("gg,00") > 0.999
+    assert population_series(states, "gg,00").values[-1] > 0.999
     assert abs(np.trace(final.matrix).real - 1.0) < 1e-8
 
 
@@ -354,6 +378,122 @@ def test_pattern_blocks_close_over_transpose():
                                    support.ravel())
     assert exc.value.invariant == "density-matrix positivity"
     assert exc.value.defect == pytest.approx(np.linalg.eigvalsh(rho)[0])
+
+
+# ---------------------------------------------------------------------------
+# sector layout: populations and checks read from the propagated columns
+# ---------------------------------------------------------------------------
+
+def superposed_initial(kind: str) -> np.ndarray:
+    """Pure ee,0(0) + i eg,0(0): N = 2 and N = 1, so dN in {-1, 0, 1}."""
+    basis = enumerate_basis(kind, damped=True)
+    psi = np.zeros(basis.dim, dtype=complex)
+    psi[basis.initial_index] = 0.6 ** 0.5
+    psi[basis.index_of("eg,00" if kind == "bimodal" else "eg,0")] = 1j * 0.4 ** 0.5
+    return np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("kind", ["bimodal", "single_mode"])
+@pytest.mark.parametrize("kappa", [0.0, 0.03, 0.1])
+@pytest.mark.parametrize("superposed", [False, True], ids=["default", "superposed"])
+def test_population_matches_density_readout(monkeypatch, kind, kappa,
+                                            superposed):
+    p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.55, kappa_a=kappa,
+                    kappa_b=kappa if kind == "bimodal" else 0.0)
+    t = np.linspace(0.0, 2.0, 21)
+    initial = superposed_initial(kind) if superposed else None
+    built = {}          # one generator build per sector: the readout is tested
+    original = lindblad._generator
+
+    def memo(kind, params, dim, idx):
+        key = idx.tobytes()
+        if key not in built:
+            built[key] = original(kind, params, dim, idx)
+        return built[key]
+
+    monkeypatch.setattr(lindblad, "_generator", memo)
+    states = evolve_density(kind, p, t, initial=initial)
+    for label in (None, *states.basis.labels()):
+        series = evolve_population(kind, p, t, label, initial=initial)
+        expected = (two_photon_population(states) if label is None
+                    else population_series(states, label))
+        assert np.array_equal(series.times, expected.times)
+        assert np.array_equal(series.values, expected.values)
+
+
+def test_population_refuses_unknown_label_before_evolving(monkeypatch):
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolved before checking the label")
+
+    monkeypatch.setattr(lindblad, "propagate_grid", no_evolution)
+    with pytest.raises(ConfigurationError):
+        evolve_population("single_mode", ModelParams(kappa_a=0.1), [0.0, 1.0],
+                          "gg,11")
+
+
+@pytest.mark.parametrize("breach,invariant", [
+    ("trace", "trace"),
+    ("hermiticity", "Hermiticity"),
+    ("positivity_8", "positivity"),
+    ("positivity_1", "positivity"),
+    ("nan", "Hermiticity"),
+])
+def test_sector_checks_match_expanded_stack(monkeypatch, breach, invariant):
+    # a fault in the propagated sector raises, through the column map, what
+    # the check on the (nt, d, d) stack raises: invariant, time and defect
+    d, i = 13, 700
+    n = excitation_numbers(enumerate_basis("bimodal", damped=True))
+    top, vacuum = np.flatnonzero(n == 2), np.flatnonzero(n == 0)[0]
+    idx = np.flatnonzero(sectors("bimodal") == 0)
+    captured = []
+
+    def at(r, c):                   # column of rho[r, c] in the dN = 0 sector
+        return np.searchsorted(idx, r * d + c)
+
+    def corrupt(generator, t_grid, y0, substep=None):
+        out = integrate.propagate_grid(generator, t_grid, y0, substep=substep)
+        row = out[i]
+        if breach == "trace":
+            row *= 1.01
+        elif breach == "hermiticity":
+            row[at(top[0], top[3])] += 1e-3
+        elif breach == "positivity_8":
+            u, _ = np.linalg.qr(random_density(8, np.random.default_rng(4)))
+            block = u @ np.diag([1.01, -0.01] + [0] * 6) @ u.conj().T
+            row[:] = 0.0
+            row[at(top[:, None], top)] = block
+        elif breach == "positivity_1":
+            row[:] = 0.0
+            row[at(top[1], top[1])], row[at(vacuum, vacuum)] = 1.01, -0.01
+        else:
+            row[at(top[2], top[5])] = np.nan
+        captured.append(out.copy())
+        return out
+
+    monkeypatch.setattr(lindblad, "propagate_grid", corrupt)
+    t = time_grid(10.0)
+    raised = []
+    for evolve in (evolve_population, evolve_density):
+        with pytest.raises(NumericalInvariantError) as exc:
+            evolve("bimodal", DAMPED_PARAMS, t)
+        raised.append(exc.value)
+    stack = np.zeros((t.size, d * d), dtype=complex)
+    stack[:, idx] = captured[0]
+    for support in (sectors("bimodal") == 0, None):
+        with pytest.raises(NumericalInvariantError) as exc:
+            lindblad._check_trajectory(stack.reshape(-1, d, d), t, support)
+        raised.append(exc.value)
+    first = raised[0]
+    assert first.invariant == f"density-matrix {invariant}"
+    for other in raised[1:]:
+        assert other.invariant == first.invariant
+        assert other.time == first.time == t[i]
+    for other in raised[1:3]:
+        np.testing.assert_equal(other.defect, first.defect)
+    if breach.startswith("positivity"):
+        assert raised[3].defect == pytest.approx(first.defect, abs=1e-12)
+    else:
+        np.testing.assert_equal(raised[3].defect, first.defect)
 
 
 def test_bad_initial_shape_rejected():
