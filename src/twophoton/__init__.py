@@ -23,7 +23,6 @@ from .experiments import (EnvelopeComparison, ResonanceReport, SweepResult,
                           SweepRow, SweepSpec, damping_sweep, default_horizon,
                           envelope_compare, resonance_report, scan_two_photon,
                           time_grid)
-from .integrate import default_substep
 from .lindblad import (DensityMatrix, DensityTrajectory, evolve_density,
                        evolve_population, lindblad_rhs, population_series,
                        two_photon_population)
@@ -31,8 +30,8 @@ from .operators import (build_hamiltonian, build_jump_operators,
                         embed_unitary_sector, excitation_numbers,
                         spectrum_lines)
 from .params import ModelParams, SystemKind
-from .unitary import (TimeSeries, amplitude_rhs, evolve_amplitudes,
-                      expm_reference, expm_series, two_photon_probability)
+from .unitary import (TimeSeries, evolve_amplitudes, expm_reference,
+                      expm_series, two_photon_probability)
 
 
 def __getattr__(name: str):
@@ -55,12 +54,11 @@ __all__ = [
     "EnvelopeComparison", "ResonanceReport", "SweepResult", "SweepRow",
     "SweepSpec", "damping_sweep", "default_horizon", "envelope_compare",
     "resonance_report", "scan_two_photon", "time_grid",
-    "default_substep",
     "DensityMatrix", "DensityTrajectory", "evolve_density", "evolve_population",
     "lindblad_rhs", "population_series", "two_photon_population",
     "build_hamiltonian", "build_jump_operators", "embed_unitary_sector",
     "excitation_numbers", "spectrum_lines",
     "ModelParams", "SystemKind",
-    "TimeSeries", "amplitude_rhs", "evolve_amplitudes", "expm_reference",
-    "expm_series", "two_photon_probability",
+    "TimeSeries", "evolve_amplitudes", "expm_reference", "expm_series",
+    "two_photon_probability",
 ]

@@ -7,8 +7,10 @@ executed in any order or in parallel; the implementation simply loops.
 
 Peak detection is the raw grid maximum on a fixed output grid with step
 0.01/g1; no interpolation, so results are deterministic and insensitive to
-optimizer quirks.  All headline values carry enough provenance (integrator
-substep, grid step, engine version) to be reproduced exactly.
+optimizer quirks.  All headline values carry enough provenance (grid step,
+engine version, and the caller's integrator substep: null when the
+integrator cut each interval by the generator's norm) to be reproduced
+exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from .effective import closed_form_probability, effective_g_omega, resonance_detuning
 from .errors import ConfigurationError, NoRootInInterval, SingularityError
-from .integrate import default_substep
 from .lindblad import evolve_population
 from .params import ModelParams, SystemKind
 from .unitary import TimeSeries, evolve_amplitudes, two_photon_probability
@@ -158,14 +159,10 @@ def scan_two_photon(spec: SweepSpec, substep: float | None = None) -> SweepResul
     """Coherent-sector sweep of the two-photon probability along one axis."""
     grid = time_grid(spec.horizon)
     rows = []
-    used_substep = None
     for value in spec.values:
         params = spec.params.replace(**{spec.axis: value})
-        h = substep if substep is not None else default_substep(
-            params.delta_cap, params.delta_small, params.g1, params.g2)
-        used_substep = h if used_substep is None else min(used_substep, h)
         series = two_photon_probability(
-            evolve_amplitudes(spec.kind, params, grid, substep=h))
+            evolve_amplitudes(spec.kind, params, grid, substep=substep))
         peak_value, peak_time = _peak(series)
         rows.append(SweepRow(axis_value=value, series=series,
                              peak_value=peak_value, peak_time=peak_time))
@@ -175,7 +172,7 @@ def scan_two_photon(spec: SweepSpec, substep: float | None = None) -> SweepResul
         "observable": "two_photon",
         "grid_step": PEAK_GRID_STEP,
         "horizon": spec.horizon,
-        "substep": used_substep,
+        "substep": substep,
     }
     return SweepResult(spec=spec, rows=tuple(rows), provenance=provenance)
 
@@ -265,14 +262,12 @@ def damping_sweep(kind: SystemKind | str = SystemKind.BIMODAL,
     late_mask = (grid >= LATE_WINDOW[0]) & (grid <= min(LATE_WINDOW[1], horizon))
 
     rows = []
-    used_substep = substep if substep is not None else default_substep(
-        params.delta_cap, params.delta_small, params.g1, params.g2)
     for kappa in kappas:
         if kind is SystemKind.BIMODAL:
             run = params.replace(kappa_a=kappa, kappa_b=kappa)
         else:
             run = params.replace(kappa_a=kappa, kappa_b=0.0)
-        series = evolve_population(kind, run, grid, substep=used_substep)
+        series = evolve_population(kind, run, grid, substep=substep)
         peak_value, peak_time = _peak(series)
         first_peak = float(np.max(series.values[first_mask]))
         late_peak = float(np.max(series.values[late_mask]))
@@ -289,7 +284,7 @@ def damping_sweep(kind: SystemKind | str = SystemKind.BIMODAL,
         "observable": "two_photon_population",
         "grid_step": PEAK_GRID_STEP,
         "horizon": horizon,
-        "substep": used_substep,
+        "substep": substep,
         "first_window": FIRST_WINDOW,
         "late_window": (LATE_WINDOW[0], min(LATE_WINDOW[1], horizon)),
         "params": {"g1": params.g1, "g2": params.g2,

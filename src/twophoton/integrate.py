@@ -4,27 +4,24 @@ Everything this package integrates is a constant-coefficient linear system
 y' = A y: amplitudes under A = -iH, and density matrices under the
 master-equation generator acting on the flattened matrix (see
 :mod:`twophoton.lindblad`).  Both go through the one :func:`propagate_grid`.
-For such systems the classical fourth-order Runge-Kutta step with step h is
-*identical* to applying the degree-4 Taylor polynomial of the exponential,
+An output interval dt is split into n equal sub-intervals of length
+h = dt/n <= THETA/||A||_1, and each takes one degree-18 Taylor step,
 
-    P4(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
+    T18(hA) = I + hA + (hA)^2/2! + ... + (hA)^18/18!.
 
-so the engine builds that one-substep matrix and raises it to the number
-of substeps per output interval with ``np.linalg.matrix_power``.  A grid
-whose every point lies within ``UNIFORM_TOLERANCE`` steps of
-t[0] + k*step, with the mean step (t[-1] - t[0])/(nt - 1), is uniform: it
-builds one propagator, from that mean step, and is filled by doubling (a
-block of k known states times the k-th power of the propagator gives the
-next k), so nt points cost about log2(nt) matrix products rather than
-nt-1 Python-level steps.  Any other grid builds one propagator per
-interval length (rounded to 12 decimals) and applies them one interval at
-a time.  This
-keeps the integrator deterministic (no adaptivity), cheap, and bit-stable
-across repeat runs.
-
-The default substep is deliberately conservative: the global error of RK4
-grows like t*h^4*|E|^5, with |E| the largest |eigenvalue| of the
-generator, so the step shrinks with the largest detuning or coupling.
+With ||hA||_1 <= THETA the omitted tail is at most THETA^19/19! < 2^-53
+relative to expm(hA), so T18(hA)^n is the interval propagator exact to
+rounding (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009).
+At the reference runs' parameters ||A||_1 * 0.01 < THETA, so one step
+spans an output interval.  A grid whose every point lies within
+``UNIFORM_TOLERANCE`` steps of t[0] + k*step, with the mean step
+(t[-1] - t[0])/(nt - 1), is uniform: it builds one propagator, from that
+mean step, and is filled by doubling (a block of k known states times the
+k-th power of the propagator gives the next k), so nt points cost about
+log2(nt) matrix products rather than nt-1 Python-level steps.  Any other
+grid builds one propagator per interval length (rounded to 12 decimals)
+and applies them one interval at a time.  This keeps the integrator
+deterministic (no adaptivity), cheap, and bit-stable across repeat runs.
 """
 
 from __future__ import annotations
@@ -35,27 +32,18 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# Substep ceiling and budget: h = min(2.5e-4, 5e-4 / max(|Delta|, |delta|,
-# g1, g2, 1)).  The amplitude error against exact diagonalization then stays
-# within 0.25 * t * h^4 * |E|^5 on every admitted grid up to t = 10^4/g1
-# (tests/test_unitary.py pins it) and the norm drift far below the 1e-6 guard.
-SUBSTEP_CEILING = 2.5e-4
-SUBSTEP_DETUNING_BUDGET = 5.0e-4
+# Taylor degree and the largest ||h*A||_1 it takes in one step:
+# THETA**(ORDER + 1) / (ORDER + 1)! < 2**-53.
+ORDER = 18
+THETA = 1.1
 # A grid is uniform when no point is further than this many steps from
 # t[0] + k*step.
 UNIFORM_TOLERANCE = 1e-9
 
 
-def default_substep(delta_cap: float, delta_small: float,
-                    g1: float, g2: float) -> float:
-    """Default integrator substep for the given detunings and couplings
-    (units of 1/g1)."""
-    scale = max(abs(delta_cap), abs(delta_small), g1, g2, 1.0)
-    return min(SUBSTEP_CEILING, SUBSTEP_DETUNING_BUDGET / scale)
-
-
-def taylor_propagator(a: np.ndarray, h: float, order: int = 4) -> np.ndarray:
-    """P_order(h*a): the RK-matched polynomial approximation of expm(h*a)."""
+def taylor_propagator(a: np.ndarray, h: float,
+                      order: int = ORDER) -> np.ndarray:
+    """T_order(h*a): the degree-``order`` Taylor polynomial of expm(h*a)."""
     out = np.eye(a.shape[0], dtype=a.dtype)
     term = out
     for k in range(1, order + 1):
@@ -78,8 +66,11 @@ def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
     """Integrate y' = generator @ y over an output grid.
 
     ``y0`` is the state at ``t_grid[0]``.  An output interval dt is split
-    into ``ceil(dt/substep)`` equal substeps; its propagator is the substep
-    matrix raised to that power.
+    into n equal sub-intervals, each one degree-18 Taylor step; its
+    propagator is that step matrix raised to the n-th power.  By default
+    n = max(1, ceil(||generator||_1 * dt / THETA)), which makes the
+    propagator exact to rounding; an explicit ``substep`` sets
+    n = ceil(dt/substep) instead.
 
     The grid is uniform when every point lies within
     ``UNIFORM_TOLERANCE * step`` of ``t[0] + k*step``, where ``step`` is the
@@ -97,13 +88,12 @@ def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
     differences add up along the grid.
 
     Returns the (len(t_grid), dim) array of states.  Raises
-    ``ConfigurationError`` if an interval propagator is not finite (the
-    generator is too large for the substep arithmetic).
+    ``ConfigurationError`` if an interval needs more sub-intervals than
+    float arithmetic can count or its propagator is not finite (the
+    generator is too large for the integrator).
     """
     t = validate_grid(t_grid)
-    if substep is None:
-        raise ConfigurationError("propagate_grid needs an explicit substep")
-    if substep <= 0:
+    if substep is not None and substep <= 0:
         raise ConfigurationError(f"substep must be positive, got {substep}")
 
     y = np.array(y0, dtype=complex)
@@ -130,17 +120,23 @@ def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
 
 
 def _interval_propagator(generator: np.ndarray, dt: float,
-                         substep: float) -> np.ndarray:
-    """P4(h*generator)^n with n = ceil(dt/substep) substeps of h = dt/n."""
+                         substep: float | None) -> np.ndarray:
+    """T18(h*generator)^n over n sub-intervals h = dt/n: by default
+    n = max(1, ceil(||generator||_1 * dt / THETA)), else ceil(dt/substep)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ratio = dt / substep
+        if substep is None:
+            norm = float(np.linalg.norm(generator, 1))
+            ratio = norm * dt / THETA
+            source = f"with generator 1-norm {norm:.3g}"
+        else:
+            ratio, source = dt / substep, f"at substep {substep:.3g}"
         if not math.isfinite(ratio):
             raise ConfigurationError(
-                f"interval {dt:.6g} at substep {substep:.3g} needs too many "
-                "substeps: the parameters are too large for the integrator")
+                f"interval {dt:.6g} {source} needs too many substeps: "
+                "the parameters are too large for the integrator")
         nsub = max(1, math.ceil(ratio))
-        p = np.linalg.matrix_power(taylor_propagator(generator, dt / nsub),
-                                   nsub)
+        p = np.linalg.matrix_power(
+            taylor_propagator(generator, dt / nsub, ORDER), nsub)
     if not np.all(np.isfinite(p)):
         raise ConfigurationError(
             f"the propagator over interval {dt:.6g} ({float(nsub):.3g} "

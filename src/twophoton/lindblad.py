@@ -31,7 +31,7 @@ import numpy as np
 
 from .basis import Basis, enumerate_basis
 from .errors import ConfigurationError, NumericalInvariantError
-from .integrate import default_substep, propagate_grid, validate_grid
+from .integrate import propagate_grid, validate_grid
 from .operators import damped_operators, excitation_numbers
 from .params import ModelParams, SystemKind
 from .unitary import TimeSeries
@@ -214,9 +214,6 @@ def _evolve_sectors(kind: SystemKind, params: ModelParams, t: np.ndarray,
     """
     basis = enumerate_basis(kind, damped=True)
     y0 = _initial_density(basis, initial).ravel()
-    if substep is None:
-        substep = default_substep(params.delta_cap, params.delta_small,
-                                  params.g1, params.g2)
 
     d = basis.dim
     n = excitation_numbers(basis)

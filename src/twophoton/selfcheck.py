@@ -59,7 +59,7 @@ def _check_integrator() -> CheckResult:
         exact = expm_series(kind, params, grid)
         worst = max(worst, float(np.max(np.abs(stepped.values - exact.values))))
     return CheckResult("stepping integrator matches exact diagonalization",
-                       worst <= 1e-8, f"max amplitude deviation {worst:.2e}")
+                       worst <= 1e-12, f"max amplitude deviation {worst:.2e}")
 
 
 def _check_undamped_density() -> CheckResult:
@@ -71,7 +71,7 @@ def _check_undamped_density() -> CheckResult:
         evolve_amplitudes(kind, params, grid)).values
     worst = float(np.max(np.abs(damped - coherent)))
     return CheckResult("undamped master equation reproduces coherent dynamics",
-                       worst <= 1e-6, f"max population deviation {worst:.2e}")
+                       worst <= 1e-12, f"max population deviation {worst:.2e}")
 
 
 def no_jump_deviation(kind: SystemKind | str, params: ModelParams,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import twophoton
 import twophoton.cli as cli
+from twophoton import integrate
 from twophoton.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE,
                            OUTDIR_ENV, main)
 from twophoton.unitary import TimeSeries
@@ -350,11 +351,16 @@ def test_out_of_memory_exits_three_naming_the_grid(tmp_path, capsys,
     assert not (tmp_path / "master.csv").exists()
 
 
-def test_invariant_breach_exits_two(tmp_path):
+def test_invariant_breach_exits_two(tmp_path, capsys, monkeypatch):
+    # every interval propagator is exact to rounding, so no valid input
+    # breaches an invariant: inject one that does not preserve the trace
+    exact = integrate._interval_propagator
+    monkeypatch.setattr(integrate, "_interval_propagator",
+                        lambda *args: 1.01 * exact(*args))
     assert main(["master", "--g2", "1.5", "--delta-cap", "-5",
                  "--delta-small", "3.55", "--kappa-a", "0.1",
-                 "--horizon", "10", "--substep", "5.0",
-                 "--out", str(tmp_path)]) == EXIT_INVARIANT
+                 "--horizon", "10", "--out", str(tmp_path)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,9 @@ FLAGS = st.lists(st.sampled_from([
                                                        "g2": 1e200}})
 @example(command="master", flags=[], config={
     "params": {"g1": 1e200, "g2": 1e200}, "horizon": 26})
+# finite Hamiltonians whose 1-norm overflows
+@example(command="evolve", flags=[], config={"params": {"g2": 6e307}})
+@example(command="master", flags=[], config={"params": {"g2": 6e307}})
 # an unhashable state label
 @example(command="master", flags=[], config={"state": [0.0], "horizon": 0.1})
 def test_every_input_maps_to_an_exit_code(command, config, flags):

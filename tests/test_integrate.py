@@ -1,45 +1,36 @@
+import math
+
 import numpy as np
 import pytest
 
-from twophoton import (ConfigurationError, ModelParams, default_substep,
+from twophoton import (ConfigurationError, ModelParams, build_hamiltonian,
                        evolve_amplitudes, expm_series, time_grid)
 from twophoton import integrate
 from twophoton.integrate import propagate_grid, taylor_propagator, validate_grid
 
 
-def rk4_step(f, y, h: float):
-    """One literal Runge-Kutta-4 step of y' = f(y) (autonomous)."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def test_norm_scaled_substep_policy(monkeypatch):
+    # without a substep each interval is cut by the generator's 1-norm:
+    # n = max(1, ceil(||A||_1 * dt / THETA)) sub-intervals of one Taylor step
+    builds = []
 
+    def counting(a, h, order=integrate.ORDER):
+        builds.append((h, order))
+        return taylor_propagator(a, h, order)
 
-def test_default_substep_policy():
-    assert default_substep(0.0, 0.0, 1.0, 1.0) == 2.5e-4
-    assert default_substep(-5.0, 3.5, 1.0, 1.0) == pytest.approx(1e-4)
-    assert default_substep(-10.0, 9.5, 1.0, 1.5) == pytest.approx(5e-5)
-    # small detunings never push the substep above its ceiling
-    assert default_substep(0.3, -0.2, 1.0, 1.5) == 2.5e-4
-    # a coupling larger than the detunings sets the scale too, and keeps the
-    # stepper within 1e-9 of exact diagonalization
-    assert default_substep(-5.0, 3.5, 1.0, 30.0) == pytest.approx(5e-4 / 30)
     strong = ModelParams(g2=30.0, delta_cap=-5.0, delta_small=3.5)
+    gen = -1j * build_hamiltonian("bimodal", strong)
+    n = math.ceil(np.linalg.norm(gen, 1) * 0.1 / integrate.THETA)
+    monkeypatch.setattr(integrate, "taylor_propagator", counting)
+    propagate_grid(gen, [0.0, 0.1], np.ones(6))
+    propagate_grid(0.01 * gen, [0.0, 0.1], np.ones(6))
+    assert n > 1 and builds == [(0.1 / n, 18), (0.1, 18)]
+    # and the strong coupling stays at rounding level against
+    # exact diagonalization
     t = time_grid(25.0)
     err = np.max(np.abs(evolve_amplitudes("bimodal", strong, t).values
                         - expm_series("bimodal", strong, t).values))
-    assert err <= 1e-9
-
-
-def test_taylor_propagator_equals_literal_rk4():
-    # for a constant linear system one RK4 step IS the degree-4 polynomial
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    y = rng.normal(size=6) + 1j * rng.normal(size=6)
-    h = 0.01
-    stepped = rk4_step(lambda v: a @ v, y, h)
-    assert np.max(np.abs(taylor_propagator(a, h) @ y - stepped)) < 1e-14
+    assert err <= 1e-11
 
 
 def test_taylor_propagator_orders():
@@ -113,7 +104,7 @@ def drifting_grid(n: int = 2000, step: float = 0.01) -> np.ndarray:
 def test_one_propagator_per_distinct_interval(monkeypatch, t, builds):
     calls = []
 
-    def counting(a, h, order=4):
+    def counting(a, h, order=integrate.ORDER):
         calls.append(h)
         return taylor_propagator(a, h, order)
 

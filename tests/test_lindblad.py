@@ -3,11 +3,10 @@ import pytest
 
 from twophoton import (ConfigurationError, DensityMatrix, ModelParams,
                        NumericalInvariantError, build_hamiltonian,
-                       build_jump_operators, default_substep,
-                       embed_unitary_sector, enumerate_basis,
-                       evolve_amplitudes, evolve_density, evolve_population,
-                       lindblad_rhs, population_series, time_grid,
-                       two_photon_population)
+                       build_jump_operators, embed_unitary_sector,
+                       enumerate_basis, evolve_amplitudes, evolve_density,
+                       evolve_population, lindblad_rhs, population_series,
+                       time_grid, two_photon_population)
 from twophoton import integrate, lindblad, operators
 from twophoton.operators import excitation_numbers
 from twophoton.selfcheck import no_jump_deviation
@@ -111,8 +110,7 @@ def test_sector_path_matches_full_generator(monkeypatch, kind, dim, sector,
     states = evolve_density(kind, p, t, initial=initial)
     rho0 = lindblad._initial_density(enumerate_basis(kind, damped=True), initial)
     full = integrate.propagate_grid(
-        lindblad._generator(kind, p, dim), t, rho0.ravel(),
-        substep=default_substep(p.delta_cap, p.delta_small, p.g1, p.g2))
+        lindblad._generator(kind, p, dim), t, rho0.ravel(), substep=None)
     assert np.max(np.abs(states.values.reshape(t.size, -1) - full)) < 1e-11
     if coherences:
         assert len(dims) > 1 and sum(dims) == dim * dim
@@ -124,7 +122,7 @@ def test_uniform_grid_builds_one_propagator(monkeypatch):
     original = integrate.taylor_propagator
     builds = []
 
-    def counting(a, h, order=4):
+    def counting(a, h, order=integrate.ORDER):
         builds.append(h)
         return original(a, h, order)
 

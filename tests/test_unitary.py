@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twophoton import (ConfigurationError, ModelParams,
-                       NumericalInvariantError, amplitude_rhs,
-                       build_hamiltonian, default_substep, evolve_amplitudes,
-                       expm_reference, expm_series, time_grid,
-                       two_photon_probability)
+                       NumericalInvariantError, build_hamiltonian,
+                       evolve_amplitudes, evolve_population, expm_reference,
+                       expm_series, time_grid, two_photon_probability)
 from twophoton.experiments import MAX_DEFAULT_HORIZON
 
 P_RES = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5)
@@ -16,12 +17,6 @@ def test_initial_state_returned_exactly_at_t0():
     assert series.values.shape == (1, 6)
     assert series.values[0, 0] == 1.0 + 0.0j
     assert np.all(series.values[0, 1:] == 0.0)
-
-
-def test_rhs_is_minus_i_h_c():
-    c = np.array([1.0, 0.5j, 0.0, -0.25, 0.0, 0.1], dtype=complex)
-    h = build_hamiltonian("bimodal", P_RES)
-    assert np.allclose(amplitude_rhs("bimodal", P_RES, c), -1j * (h @ c))
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -96,19 +91,43 @@ def test_two_photon_probability_extracts_target_state():
     ("single_mode", ModelParams(g2=2.0, delta_cap=-5.0, delta_small=2.75)),
 ])
 def test_long_grid_accuracy_contract(kind, params, horizon):
-    # RK4's global error grows like t*h^4*|E|^5; on the longest default
+    # each output step is exact to rounding, so on the longest default
     # horizon and the longest admitted grid, at the damping-study points,
-    # the default substep keeps it within a quarter of that
+    # the error against exact diagonalization grows only by rounding,
+    # about 1e-15 per unit time
     t = time_grid(horizon)
-    h = default_substep(params.delta_cap, params.delta_small,
-                        params.g1, params.g2)
-    energy = np.max(np.abs(np.linalg.eigvalsh(build_hamiltonian(kind, params))))
     values = evolve_amplitudes(kind, params, t).values
     # the exact series in chunks, so 10^6 points never need three copies
     err = max(np.max(np.abs(values[chunk]
                             - expm_series(kind, params, t[chunk]).values))
               for chunk in np.array_split(np.arange(t.size), 8))
-    assert err <= 0.25 * t[-1] * h ** 4 * energy ** 5
+    assert err <= 1e-14 * t[-1]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(g=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+       detunings=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+       kappas=st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)))
+def test_swap_symmetries(g, detunings, kappas):
+    # (g1, g2, delta_cap, delta_small) -> (g2, g1, delta_small, delta_cap)
+    # swaps the two modes of the bimodal system (with kappa_a <-> kappa_b)
+    # and the two atoms of the single-mode one; the two-photon target is
+    # mapped to itself, so its probability must not change
+    (g1, g2), (cap, small), (ka, kb) = g, detunings, kappas
+    p = ModelParams(g1=g1, g2=g2, delta_cap=cap, delta_small=small)
+    swapped = ModelParams(g1=g2, g2=g1, delta_cap=small, delta_small=cap)
+    t = time_grid(25.0)
+    for kind in ("bimodal", "single_mode"):
+        prob = [two_photon_probability(evolve_amplitudes(kind, q, t)).values
+                for q in (p, swapped)]
+        assert np.max(np.abs(prob[0] - prob[1])) <= 1e-12, kind
+    t = time_grid(5.0)
+    damped = [evolve_population("bimodal", p.replace(kappa_a=ka, kappa_b=kb),
+                                t).values,
+              evolve_population("bimodal",
+                                swapped.replace(kappa_a=kb, kappa_b=ka),
+                                t).values]
+    assert np.max(np.abs(damped[0] - damped[1])) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
