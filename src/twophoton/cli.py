@@ -16,11 +16,12 @@ resolve as --out, then $TWOPHOTON_OUTDIR, then the working directory.
 
 Numbers are written with 15 significant digits (``%.15g``, the same bytes
 as ``f"{float(x):.15g}"``), so repeat runs are byte-identical.  Files are
-formatted a whole column at a time: each writer builds a template with one
-``"%s%s"`` cell per number and fills it in one ``%`` from ``_cells``, which
-works out each value's correctly rounded 15-digit significand in NumPy, so
-C prints integers rather than running ``%.15g`` per value.  A scan formats
-its time column once and reuses it for every row on the same grid.
+formatted a column at a time, series files in blocks of ``BLOCK`` rows:
+each writer builds a template with one ``"%s%s"`` cell per number and
+fills it in one ``%`` from ``_cells``, which works out each value's
+correctly rounded 15-digit significand in NumPy, so C prints integers
+rather than running ``%.15g`` per value.  A scan formats its time column
+once and reuses it for every row on the same grid.
 
 Exit codes: 0 success, 1 usage error, 2 numerical invariant breach,
 3 configuration error (running out of memory counts: the grid is too long).
@@ -36,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import integrate
 from .basis import enumerate_basis
 from .effective import effective_g_omega
 from .errors import (ConfigurationError, NumericalInvariantError,
@@ -46,7 +48,7 @@ from .experiments import (DEFAULT_HORIZON, PEAK_GRID_STEP, SweepSpec, axis_grid,
 from .lindblad import evolve_population
 from .operators import spectrum_lines
 from .params import PARAM_FIELDS, ModelParams, SystemKind
-from .unitary import evolve_amplitudes, two_photon_probability
+from .unitary import evolve_probability
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -241,17 +243,32 @@ def _resolve_axis_values(args, cfg: dict) -> np.ndarray:
     return _number(values, "values", ndim=1)
 
 
-def _series_template(times) -> str:
-    """The body of a ``g1_t,value`` file on ``times``, values left as cells.
+def _series_template(times):
+    """The body of a ``g1_t,value`` file on ``times``, values left as cells:
+    one template per block of ``BLOCK`` rows, each made when asked for.
 
     Each time is formatted here; the escaped second cell stays for its value.
     """
-    return _fill(f"{CELL},{CELL.replace('%', '%%')}\n" * len(times), times)
+    row = f"{CELL},{CELL.replace('%', '%%')}\n"
+    for start in range(0, len(times), integrate.BLOCK):
+        chunk = times[start:start + integrate.BLOCK]
+        yield _fill(row * len(chunk), chunk)
 
 
-def _write_series_csv(path: Path, template: str, values) -> None:
-    """Write one series; ``template`` is ``_series_template`` of its times."""
-    _write_text(path, "g1_t,value\n" + _fill(template, values))
+def _write_series_csv(path: Path, templates, values) -> None:
+    """Write one series, a block at a time; ``templates`` are
+    ``_series_template`` of its times.
+
+    The file is opened once its first block is formatted, so a series of
+    one block is created and written with one ``write``.
+    """
+    starts = range(0, len(values), integrate.BLOCK)
+    blocks = (_fill(template, values[start:start + integrate.BLOCK])
+              for start, template in zip(starts, templates))
+    first = next(blocks)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("g1_t,value\n" + first)
+        fh.writelines(blocks)
 
 
 def _write_manifest(outdir: Path, command: str, kind: SystemKind,
@@ -284,8 +301,7 @@ def _cmd_evolve(args) -> int:
     outdir = _resolve_outdir(args)
 
     grid = _time_grid(args, horizon)
-    series = two_photon_probability(
-        evolve_amplitudes(kind, params, grid, substep=substep))
+    series = evolve_probability(kind, params, grid, substep=substep)
     out = outdir / "evolve.csv"
     _write_series_csv(out, _series_template(series.times), series.values)
     _write_manifest(outdir, "evolve", kind, params, [out.name],
@@ -370,7 +386,7 @@ def _cmd_scan(args) -> int:
     for i, row in enumerate(result.rows):
         if grid is None or not np.array_equal(row.series.times, grid):
             grid = row.series.times
-            template = _series_template(grid)
+            template = list(_series_template(grid))
         name = f"{prefix}_row{i:03d}.csv"
         _write_series_csv(outdir / name, template, row.series.values)
         outputs.append(name)

@@ -24,7 +24,7 @@ from .effective import closed_form_probability, effective_g_omega, resonance_det
 from .errors import ConfigurationError, NoRootInInterval, SingularityError
 from .lindblad import evolve_population
 from .params import ModelParams, SystemKind
-from .unitary import TimeSeries, evolve_amplitudes, two_photon_probability
+from .unitary import TimeSeries, evolve_probability
 
 PEAK_GRID_STEP = 0.01
 DEFAULT_HORIZON = 25.0
@@ -161,8 +161,7 @@ def scan_two_photon(spec: SweepSpec, substep: float | None = None) -> SweepResul
     rows = []
     for value in spec.values:
         params = spec.params.replace(**{spec.axis: value})
-        series = two_photon_probability(
-            evolve_amplitudes(spec.kind, params, grid, substep=substep))
+        series = evolve_probability(spec.kind, params, grid, substep=substep)
         peak_value, peak_time = _peak(series)
         rows.append(SweepRow(axis_value=value, series=series,
                              peak_value=peak_value, peak_time=peak_time))
@@ -212,8 +211,7 @@ def envelope_compare(kind: SystemKind | str, params: ModelParams,
             "is used outside its dispersive validity domain",
             UserWarning, stacklevel=2)
     grid = time_grid(horizon)
-    series = two_photon_probability(
-        evolve_amplitudes(kind, params, grid, substep=substep))
+    series = evolve_probability(kind, params, grid, substep=substep)
     envelope = closed_form_probability(kind, params, grid)
     peak_exact, t_exact = _peak(series)
     i = int(np.argmax(envelope))

@@ -3,7 +3,10 @@
 Everything this package integrates is a constant-coefficient linear system
 y' = A y: amplitudes under A = -iH, and density matrices under the
 master-equation generator acting on the flattened matrix (see
-:mod:`twophoton.lindblad`).  Both go through the one :func:`propagate_grid`.
+:mod:`twophoton.lindblad`).  Both go through the one
+:func:`propagate_blocks`, which yields the states in consecutive blocks of
+at most ``BLOCK`` points, so a long run is held a block at a time;
+:func:`propagate_grid` writes the blocks into one whole-grid array.
 An output interval dt is split into n equal sub-intervals of length
 h = dt/n <= THETA/||A||_1, and each takes one degree-18 Taylor step,
 
@@ -18,10 +21,12 @@ spans an output interval.  A grid whose every point lies within
 (t[-1] - t[0])/(nt - 1), is uniform: it builds one propagator, from that
 mean step, and is filled by doubling (a block of k known states times the
 k-th power of the propagator gives the next k), so nt points cost about
-log2(nt) matrix products rather than nt-1 Python-level steps.  Any other
-grid builds one propagator per interval length (rounded to 12 decimals)
-and applies them one interval at a time.  This keeps the integrator
-deterministic (no adaptivity), cheap, and bit-stable across repeat runs.
+log2(nt) matrix products rather than nt-1 Python-level steps.  Later
+blocks replay the same products, so the states do not depend on
+``BLOCK``.  Any other grid builds one propagator per interval length
+(rounded to 12 decimals) and applies them one interval at a time.  This
+keeps the integrator deterministic (no adaptivity), cheap, and bit-stable
+across repeat runs.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ THETA = 1.1
 # A grid is uniform when no point is further than this many steps from
 # t[0] + k*step.
 UNIFORM_TOLERANCE = 1e-9
+# States per block of propagate_blocks, a power of two: every grid of at
+# most BLOCK points is one block, and a longer run holds a few blocks.
+BLOCK = 2 ** 15
 
 
 def taylor_propagator(a: np.ndarray, h: float,
@@ -63,7 +71,19 @@ def validate_grid(t_grid: np.ndarray) -> np.ndarray:
 
 def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
                    substep: float | None = None) -> np.ndarray:
-    """Integrate y' = generator @ y over an output grid.
+    """The (len(t_grid), dim) array of states: the blocks of
+    :func:`propagate_blocks`, each written at its own rows."""
+    t = validate_grid(t_grid)
+    out = np.empty((t.size, np.size(y0)), dtype=complex)
+    for _ in propagate_blocks(generator, t, y0, substep, out):
+        pass
+    return out
+
+
+def propagate_blocks(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
+                     substep: float | None = None, out: np.ndarray | None = None):
+    """Integrate y' = generator @ y over an output grid, yielding the states
+    in consecutive blocks of at most ``BLOCK`` rows.
 
     ``y0`` is the state at ``t_grid[0]``.  An output interval dt is split
     into n equal sub-intervals, each one degree-18 Taylor step; its
@@ -74,22 +94,33 @@ def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
 
     The grid is uniform when every point lies within
     ``UNIFORM_TOLERANCE * step`` of ``t[0] + k*step``, where ``step`` is the
-    mean step (t[-1] - t[0])/(nt - 1).  Bounding the points rather than the
-    intervals means a slowly drifting grid cannot accumulate a label error.
-    A uniform grid builds its one propagator from ``step`` and is filled by
-    doubling: once the first k states are known, the next k are those times
-    P^k, and P^k is then squared, so the grid takes ceil(log2(nt)) matrix
-    products.  Any other grid groups its intervals by their length rounded
-    to 12 decimals, builds one propagator per group from the group's first
-    interval, and is stepped sequentially, one propagator application per
-    interval.  Only a grid that passes the pointwise test is free of label
-    error: on any other grid each interval is advanced by its group's first
-    length, which may differ from its own by up to 1e-12, and these
-    differences add up along the grid.
+    mean step (t[-1] - t[0])/(nt - 1), so a slowly drifting grid cannot
+    accumulate a label error.  A uniform grid builds its one propagator P
+    from ``step``.  Its first block B0 is filled by doubling: once the first
+    k states are known, the next k are those times P^k, and P^k is then
+    squared.  Block c is B0 @ Q_j1^T @ Q_j2^T ... over the set bits j of c,
+    low to high, with Q_j = P^(BLOCK * 2^j) from the same squaring chain:
+    row for row the products of a doubling over the whole grid, so the
+    states do not depend on ``BLOCK``.  NumPy multiplies a lone row on
+    another BLAS path, which the whole-grid doubling takes only for a last
+    row at a power-of-two index; any other one-row block is computed on
+    two rows and cut to one.  Any other grid groups its intervals by their
+    length rounded to 12 decimals, builds one propagator per group from the
+    group's first interval and steps one interval at a time; each interval
+    is advanced by its group's first length, which may differ from its own
+    by up to 1e-12, and these differences add up along the grid.
 
-    Returns the (len(t_grid), dim) array of states.  Raises
-    ``ConfigurationError`` if an interval needs more sub-intervals than
-    float arithmetic can count or its propagator is not finite (the
+    ``out`` receives the states, and each yielded block is a view of it.
+    An (nt, dim) array holds every block at its own rows.  A shorter one,
+    of at least min(nt, BLOCK) rows, is reused: B0 is written to its first
+    rows and every later block to rows from ``BLOCK`` on if there are
+    2 * BLOCK, else (after B0 is copied) again to the first rows; a block
+    is valid until the next is asked for.  The default is a new array of
+    min(nt, 2 * BLOCK) rows, so a grid of up to 2 * BLOCK points is held
+    whole.
+
+    Raises ``ConfigurationError`` if an interval needs more sub-intervals
+    than float arithmetic can count or its propagator is not finite (the
     generator is too large for the integrator).
     """
     t = validate_grid(t_grid)
@@ -97,26 +128,64 @@ def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
         raise ConfigurationError(f"substep must be positive, got {substep}")
 
     y = np.array(y0, dtype=complex)
-    out = np.empty((t.size, y.size), dtype=complex)
-    out[0] = y
-    if t.size == 1:
-        return out
+    nt, size = t.size, BLOCK
+    if out is None:
+        out = np.empty((min(nt, 2 * size), y.size), dtype=complex)
+    whole = len(out) == nt
+    later = out[size:] if len(out) >= 2 * size else out
 
-    step = (t[-1] - t[0]) / (t.size - 1)
-    ideal = t[0] + step * np.arange(t.size)
-    if np.max(np.abs(t - ideal)) <= UNIFORM_TOLERANCE * step:
-        _fill_by_doubling(_interval_propagator(generator, step, substep), out)
-        return out
+    def rows(start: int) -> np.ndarray:
+        """Where the block starting at grid index ``start`` is written."""
+        n = min(size, nt - start)
+        if whole:
+            return out[start:start + n]
+        return (later if start else out)[:n]
+
+    out[0] = y
+    if nt == 1:
+        yield out[:1]
+        return
+
+    step = (t[-1] - t[0]) / (nt - 1)
+    drift = np.max(np.abs(t - (t[0] + step * np.arange(nt))))
+    if drift <= UNIFORM_TOLERANCE * step:
+        head = rows(0)
+        power = _fill_by_doubling(
+            _interval_propagator(generator, step, substep), head)
+        yield head
+        if nt <= size:
+            return
+        if later is out and not whole:      # the next blocks overwrite B0
+            head = head.copy()
+        powers = [power @ power]
+        for start in range(size, nt, size):
+            c, block = start // size, rows(start)
+            while len(powers) < c.bit_length():
+                powers.append(powers[-1] @ powers[-1])
+            chain = [q for j, q in enumerate(powers) if c >> j & 1]
+            # one row alone only where the whole-grid doubling has one
+            x = head[:2] if len(block) == 1 and c & (c - 1) else head[:len(block)]
+            for q in chain[:-1]:
+                x = x @ q.T
+            if len(x) == len(block):
+                np.matmul(x, chain[-1].T, out=block)
+            else:
+                block[:] = (x @ chain[-1].T)[:1]
+            yield block
+        return
 
     dt = np.diff(t)
     _, first, group = np.unique(np.round(dt, 12), return_index=True,
                                 return_inverse=True)
     propagators = [_interval_propagator(generator, dt[i], substep)
                    for i in first]
-    for i, g in enumerate(group.tolist(), start=1):
-        y = propagators[g] @ y
-        out[i] = y
-    return out
+    group = group.tolist()
+    for start in range(0, nt, size):
+        block = rows(start)
+        for i in range(max(start, 1), start + len(block)):
+            y = propagators[group[i - 1]] @ y
+            block[i - start] = y
+        yield block
 
 
 def _interval_propagator(generator: np.ndarray, dt: float,
@@ -145,13 +214,14 @@ def _interval_propagator(generator: np.ndarray, dt: float,
     return p
 
 
-def _fill_by_doubling(p: np.ndarray, out: np.ndarray) -> None:
-    """Fill out[1:] with out[i] = p^i @ out[0], doubling the known prefix."""
+def _fill_by_doubling(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out[1:] with out[i] = p^i @ out[0], doubling the known prefix;
+    return the last power of p applied (the chain's next square follows)."""
     known, power = 1, p
     while True:
         n = min(known, out.shape[0] - known)
         np.matmul(out[:n], power.T, out=out[known:known + n])
         known += n
         if known == out.shape[0]:
-            return
+            return power
         power = power @ power

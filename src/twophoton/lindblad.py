@@ -9,18 +9,19 @@ with one annihilator per cavity mode, so each mode loses photons at rate
 2*kappa_m.  H keeps the excitation number N and each jump lowers it by
 one, so the generator keeps dN = N(i) - N(j) of each entry rho[i, j].
 Each dN sector the initial state occupies (the default state: dN = 0 only,
-81 of 169 entries bimodal, 26 of 64 single-mode) gets its own block of the
-generator on vec(rho), built by ``lindblad_rhs`` (the one home of the
-dissipator algebra) from that sector's unit matrices, and is stepped by
-:func:`twophoton.integrate.propagate_grid`; none is derived from another
+81 of 169 entries bimodal, 26 of 64 single-mode) is stepped on its own
+block of the generator on vec(rho), sliced from the Kronecker form of the
+dissipator (``_generator``; ``lindblad_rhs`` is the same algebra on
+matrices, kept as its independent check).  None is derived from another
 by conjugation, so the Hermiticity check still tests the dynamics.
-The propagated sectors sit side by side in one (nt, m + 1) array whose
-last column is zero, and a (d, d) map gives the column of each rho[i, j].
-``_check_columns`` reads only the occupied entries through that map, so a
-dN = 0 state (block-diagonal in N: 8/4/1 bimodal, 4/3/1 single-mode) is
-checked block by block.  The first breach in time order aborts the run.
-``evolve_population`` then reads one column; only ``evolve_density``
-gathers the full (nt, d, d) stack.
+:func:`twophoton.integrate.propagate_blocks` writes each sector straight
+into its columns of one working array of at most ``BLOCK`` points, whose
+last column is zero; a (d, d) map gives the column of each rho[i, j].
+Each block is checked through that map on the occupied entries only, so
+a dN = 0 state (block-diagonal in N: 8/4/1 bimodal, 4/3/1 single-mode) is
+checked block by block, and the first breach in time order aborts the
+run.  ``evolve_population`` keeps one column of each block;
+``evolve_density`` fills its (nt, d, d) output block by block.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import integrate
 from .basis import Basis, enumerate_basis
 from .errors import ConfigurationError, NumericalInvariantError
-from .integrate import propagate_grid, validate_grid
+from .integrate import propagate_blocks, validate_grid
 from .operators import damped_operators, excitation_numbers
 from .params import ModelParams, SystemKind
 from .unitary import TimeSeries
@@ -72,32 +74,23 @@ def _check_trajectory(rhos: np.ndarray, t: np.ndarray,
     """Raise at the first point of an (nt, d, d) stack that fails an invariant.
 
     ``support`` (boolean over rho.ravel(); None: all) marks the entries that
-    may be non-zero; see :func:`_check_columns`, which reads the stack as
-    its (nt, d*d) columns.
+    may be non-zero; see :func:`_pattern`.  The stack is read as its
+    (nt, d*d) columns.
     """
     d = rhos.shape[-1]
     mask = np.ones((d, d), dtype=bool) if support is None else support.reshape(d, d)
     _check_columns(rhos.reshape(len(rhos), d * d), t,
-                   np.arange(d * d).reshape(d, d), mask)
+                   _pattern(np.arange(d * d).reshape(d, d), mask))
 
 
-def _check_columns(y: np.ndarray, t: np.ndarray, cols: np.ndarray,
-                   support: np.ndarray) -> None:
-    """Raise at the first point that fails an invariant; rho[i, j] at time
-    t[k] is ``y[k, cols[i, j]]``.
+def _pattern(cols: np.ndarray, support: np.ndarray):
+    """What :func:`_check_columns` reads of states whose rho[i, j] is column
+    ``cols[i, j]``: ``(diagonal, blocks)``, the diagonal's columns and, per
+    connected diagonal block, its columns, its transpose's and its size.
 
     ``support`` (boolean, d x d) marks the entries that may be non-zero.
     With its transpose and the diagonal it splits the basis into connected
-    diagonal blocks; other entries are not read.  Each block is
-    gathered by ``np.take`` on its columns, its conjugate partner on the
-    transposed columns.  Per batch of ``CHECK_CHUNK``: a stacked trace and a
-    Hermiticity maximum over the blocks, then, on the blocks' Hermitian
-    parts before the first such breach (so finite), one stacked Cholesky per
-    block of rho_block + (|EIGENVALUE_FLOOR| - SCREEN_MARGIN) I.  It
-    succeeds only if no eigenvalue is below the floor; a batch it rejects
-    gets per-block ``eigvalsh``, whose per-point minimum is the defect.
-    Trace is reported before Hermiticity, Hermiticity before positivity; a
-    NaN defect is a breach (``not defect <= tol``).
+    diagonal blocks; other entries are not read.
     """
     d = len(cols)
     mask = support | support.T | np.eye(d, dtype=bool)
@@ -107,7 +100,24 @@ def _check_columns(y: np.ndarray, t: np.ndarray, cols: np.ndarray,
         b = np.flatnonzero(row)
         own = cols[np.ix_(b, b)]
         blocks.append((own.ravel(), own.T.ravel(), len(b)))
-    diagonal = cols.diagonal()
+    return cols.diagonal(), blocks
+
+
+def _check_columns(y: np.ndarray, t: np.ndarray, pattern) -> None:
+    """Raise at the first point that fails an invariant; ``y[k]`` holds the
+    state at t[k] as :func:`_pattern` ``pattern`` maps it.
+
+    Each block is gathered by ``np.take`` on its columns, its conjugate
+    partner on the transposed columns.  Per batch of ``CHECK_CHUNK``: a
+    stacked trace and a Hermiticity maximum over the blocks, then, on the
+    blocks' Hermitian parts before the first such breach (so finite), one
+    stacked Cholesky per block of rho_block + (|EIGENVALUE_FLOOR| -
+    SCREEN_MARGIN) I.  It succeeds only if no eigenvalue is below the floor;
+    a batch it rejects gets per-block ``eigvalsh``, whose per-point minimum
+    is the defect.  Trace is reported before Hermiticity, Hermiticity before
+    positivity; a NaN defect is a breach (``not defect <= tol``).
+    """
+    diagonal, blocks = pattern
     shift = abs(EIGENVALUE_FLOOR) - SCREEN_MARGIN
     for start in range(0, len(y), CHECK_CHUNK):
         chunk = y[start:start + CHECK_CHUNK]
@@ -181,14 +191,20 @@ def lindblad_rhs(kind: SystemKind | str, params: ModelParams,
 
 
 def _generator(kind: SystemKind, params: ModelParams, dim: int,
-               idx=slice(None)) -> np.ndarray:
+               idx=None) -> np.ndarray:
     """Rows and columns ``idx`` (default: all) of the master-equation generator
-    on vec(rho) = rho.ravel(), built from those unit matrices alone."""
-    units = np.eye(dim * dim, dtype=complex)[idx]
+    on vec(rho) = rho.ravel(), in Kronecker form (vec(A rho B) = (A (x) B^T)
+    vec(rho)): -i(H (x) I - I (x) H^T) - sum_m kappa_m (n_m (x) I
+    - 2 c_m (x) c_m + I (x) n_m^T), with n_m = c_m^T c_m (c_m real)."""
     hamiltonian, jumps = damped_operators(kind, params)
-    columns = lindblad_rhs(kind, params, units.reshape(-1, dim, dim),
-                           hamiltonian=hamiltonian, jumps=jumps)
-    return np.ascontiguousarray(columns.reshape(len(units), -1)[:, idx].T)
+    eye = np.eye(dim)
+    out = -1j * (np.kron(hamiltonian, eye) - np.kron(eye, hamiltonian.T))
+    for kappa, c in zip((params.kappa_a, params.kappa_b), jumps):
+        if kappa != 0.0:
+            number = c.T @ c
+            out -= kappa * (np.kron(number, eye) - 2.0 * np.kron(c, c)
+                            + np.kron(eye, number.T))
+    return out if idx is None else np.ascontiguousarray(out[np.ix_(idx, idx)])
 
 
 def _initial_density(basis: Basis, initial) -> np.ndarray:
@@ -206,11 +222,14 @@ def _initial_density(basis: Basis, initial) -> np.ndarray:
 
 def _evolve_sectors(kind: SystemKind, params: ModelParams, t: np.ndarray,
                     initial, substep: float | None):
-    """Propagate and check each dN sector ``initial`` occupies.
+    """Propagate and check each dN sector ``initial`` occupies, by blocks.
 
-    Returns ``(basis, y, cols)``: ``y`` (nt, m + 1) holds the sectors side
-    by side (ascending dN, each in vec(rho) order) and a last, zero column;
-    rho[i, j] is ``y[:, cols[i, j]]``, the zero column outside the sectors.
+    Returns ``(basis, cols, blocks)``.  ``blocks`` yields ``(start, y)``: y
+    (n, m + 1) holds the states at t[start:start + n], the sectors side by
+    side (ascending dN, each in vec(rho) order) and a last, zero column, so
+    rho[i, j] is ``y[:, cols[i, j]]``.  Each sector's propagator writes
+    straight into its columns of the one working array, reused by every
+    block; a block is checked before it is yielded.
     """
     basis = enumerate_basis(kind, damped=True)
     y0 = _initial_density(basis, initial).ravel()
@@ -221,19 +240,29 @@ def _evolve_sectors(kind: SystemKind, params: ModelParams, t: np.ndarray,
     dns = np.unique(sector[y0 != 0])
     m = int(np.isin(sector, dns).sum())
     cols = np.full(d * d, m)
-    y = np.empty((t.size, m + 1), dtype=complex)
+    y = np.empty((min(t.size, integrate.BLOCK), m + 1), dtype=complex)
     y[:, m] = 0.0
-    start = 0
+    sectors, start = [], 0
     for dn in dns:
         idx = np.flatnonzero(sector == dn)
         stop = start + idx.size
         cols[idx] = np.arange(start, stop)
-        y[:, start:stop] = propagate_grid(_generator(kind, params, d, idx), t,
-                                          y0[idx], substep=substep)
+        sectors.append(propagate_blocks(
+            _generator(kind, params, d, idx), t, y0[idx], substep,
+            out=y[:, start:stop]))
         start = stop
     cols = cols.reshape(d, d)
-    _check_columns(y, t, cols, cols < m)
-    return basis, y, cols
+    pattern = _pattern(cols, cols < m)
+
+    def blocks():
+        start = 0
+        for written in zip(*sectors):
+            n = len(written[0])
+            _check_columns(y[:n], t[start:start + n], pattern)
+            yield start, y[:n]
+            start += n
+
+    return basis, cols, blocks()
 
 
 def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
@@ -248,9 +277,11 @@ def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
     kind = SystemKind.coerce(kind)
     params.validate_for_kind(kind)
     t = validate_grid(t_grid)
-    basis, y, cols = _evolve_sectors(kind, params, t, initial, substep)
-    return DensityTrajectory(times=t, values=np.take(y, cols, axis=1),
-                             basis=basis)
+    basis, cols, blocks = _evolve_sectors(kind, params, t, initial, substep)
+    values = np.empty((t.size, basis.dim, basis.dim), dtype=complex)
+    for start, y in blocks:
+        np.take(y, cols, axis=1, out=values[start:start + len(y)])
+    return DensityTrajectory(times=t, values=values, basis=basis)
 
 
 def evolve_population(kind: SystemKind | str, params: ModelParams, t_grid,
@@ -259,16 +290,18 @@ def evolve_population(kind: SystemKind | str, params: ModelParams, t_grid,
     """Occupation of basis state ``label`` (None: the two-photon target)
     under the master equation.
 
-    The same run and checks as :func:`evolve_density`, read from the
-    propagated sectors without building the (nt, d, d) stack.  An unknown
-    label is refused before anything is evolved.
+    The same run and checks as :func:`evolve_density`, keeping one column
+    of each block.  An unknown label is refused before anything is evolved.
     """
     kind = SystemKind.coerce(kind)
     params.validate_for_kind(kind)
     i = _index(enumerate_basis(kind, damped=True), label)
     t = validate_grid(t_grid)
-    _, y, cols = _evolve_sectors(kind, params, t, initial, substep)
-    return TimeSeries(times=t, values=y[:, cols[i, i]].real.copy())
+    _, cols, blocks = _evolve_sectors(kind, params, t, initial, substep)
+    values = np.empty(t.size)
+    for start, y in blocks:
+        values[start:start + len(y)] = y[:, cols[i, i]].real
+    return TimeSeries(times=t, values=values)
 
 
 def _index(basis: Basis, label: str | None) -> int:

@@ -19,7 +19,7 @@ from .effective import (closed_form_probability, effective_hamiltonian,
                         interference_amplitude,
                         resolvent_effective_hamiltonian)
 from .integrate import validate_grid
-from .lindblad import _evolve_sectors, evolve_population
+from .lindblad import evolve_density, evolve_population
 from .operators import (build_hamiltonian, build_jump_operators,
                         embed_unitary_sector, excitation_numbers)
 from .params import ModelParams, SystemKind
@@ -93,8 +93,7 @@ def no_jump_deviation(kind: SystemKind | str, params: ModelParams,
     coeff = np.linalg.solve(vec, (top == basis.initial_index).astype(complex))
     grid = validate_grid(grid)
     psi = (np.exp(-1j * np.outer(grid - grid[0], lam)) * coeff) @ vec.T
-    _, y, cols = _evolve_sectors(kind, params, grid, None, None)
-    rho = np.take(y, cols[np.ix_(top, top)], axis=1)
+    rho = evolve_density(kind, params, grid).values[:, top[:, None], top]
     return float(np.max(np.abs(rho - psi[:, :, None] * psi[:, None, :].conj())))
 
 

@@ -5,7 +5,11 @@ c' = -iHc with the fixed-step propagator from :mod:`twophoton.integrate`.
 An independent eigendecomposition path (``expm_series``, and
 ``expm_reference`` for one time) provides the exact solution for
 cross-checks; the engine aborts if the norm of the
-integrated amplitude vector drifts by more than a part in 10^6.
+integrated amplitude vector drifts by more than a part in 10^6, checked a
+block of :func:`twophoton.integrate.propagate_blocks` at a time.
+``evolve_amplitudes`` keeps every amplitude; ``evolve_probability`` keeps
+only the two-photon probability of each block, so a long run needs
+memory for one column and one block.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .basis import Basis, enumerate_basis
 from .errors import ConfigurationError, NumericalInvariantError
-from .integrate import propagate_grid, validate_grid
+from .integrate import propagate_blocks, validate_grid
 from .operators import build_hamiltonian
 from .params import ModelParams, SystemKind
 
@@ -64,6 +68,27 @@ def _initial_vector(basis: Basis, initial) -> np.ndarray:
     return c0
 
 
+def _checked_blocks(kind: SystemKind, params: ModelParams, basis: Basis,
+                    t: np.ndarray, initial, substep: float | None, out=None):
+    """Yield ``(start, block)``: the amplitudes at t[start:start + n] from
+    :func:`twophoton.integrate.propagate_blocks` (``out`` as there), each
+    block norm-checked before it is yielded."""
+    c0 = _initial_vector(basis, initial)
+    h = build_hamiltonian(kind, params, damped=False)
+    start = 0
+    for block in propagate_blocks(-1j * h, t, c0, substep, out):
+        f = block.view(float)                   # one pass, no conj temporary
+        drift = np.abs(np.sqrt(np.einsum("ij,ij->i", f, f)) - 1.0)
+        breach = ~(drift <= NORM_TOLERANCE)     # a NaN drift is a breach too
+        if breach.any():
+            first = int(np.argmax(breach))
+            raise NumericalInvariantError(
+                "amplitude norm", float(drift[first]), NORM_TOLERANCE,
+                time=float(t[start + first]))
+        yield start, block
+        start += len(block)
+
+
 def evolve_amplitudes(kind: SystemKind | str, params: ModelParams,
                       t_grid, initial=None,
                       substep: float | None = None) -> TimeSeries:
@@ -94,21 +119,27 @@ def evolve_amplitudes(kind: SystemKind | str, params: ModelParams,
     """
     kind = SystemKind.coerce(kind)
     basis = enumerate_basis(kind, damped=False)
-    c0 = _initial_vector(basis, initial)
+    t = validate_grid(t_grid)
+    values = np.empty((t.size, basis.dim), dtype=complex)
+    for _ in _checked_blocks(kind, params, basis, t, initial, substep, values):
+        pass
+    return TimeSeries(times=t, values=values, basis=basis)
 
-    h = build_hamiltonian(kind, params, damped=False)
-    values = propagate_grid(-1j * h, t_grid, c0, substep=substep)
 
-    f = values.view(float)                      # one pass, no conj temporary
-    drift = np.abs(np.sqrt(np.einsum("ij,ij->i", f, f)) - 1.0)
-    breach = ~(drift <= NORM_TOLERANCE)         # a NaN drift is a breach too
-    if breach.any():
-        first = int(np.argmax(breach))
-        raise NumericalInvariantError(
-            "amplitude norm", float(drift[first]), NORM_TOLERANCE,
-            time=float(np.asarray(t_grid, dtype=float)[first]))
-    return TimeSeries(times=np.asarray(t_grid, dtype=float), values=values,
-                      basis=basis)
+def evolve_probability(kind: SystemKind | str, params: ModelParams, t_grid,
+                       initial=None, substep: float | None = None) -> TimeSeries:
+    """``two_photon_probability(evolve_amplitudes(...))``, the same numbers
+    and checks, keeping one column of each block of amplitudes."""
+    kind = SystemKind.coerce(kind)
+    basis = enumerate_basis(kind, damped=False)
+    t = validate_grid(t_grid)
+    values = np.empty(t.size)
+    for start, block in _checked_blocks(kind, params, basis, t, initial,
+                                        substep):
+        column = values[start:start + len(block)]
+        np.square(np.abs(block[:, basis.two_photon_index], out=column),
+                  out=column)
+    return TimeSeries(times=t, values=values)
 
 
 def expm_reference(kind: SystemKind | str, params: ModelParams, t: float,

@@ -439,3 +439,24 @@ def test_selfcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "selfcheck passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv,blocks", [
+    (["master", "--kappa-a", "0.1", "--kappa-b", "0.05", "--horizon", "0.2"],
+     (2, 4, 8)),
+    (["scan", "--kind", "single_mode", "--axis", "kappa", "--kappas", "0,0.1",
+      "--horizon", "25.2"], (8,)),
+], ids=["master", "scan_kappa"])
+def test_blocked_csv_bytes_equal_one_block(tmp_path, monkeypatch, argv, blocks):
+    # every file a run writes has the same bytes whatever BLOCK is: the
+    # engine's blocks and the writer's blocks of rows; the grids end in a
+    # one-row block
+    written = []
+    for block in (1 << 30, *blocks):
+        monkeypatch.setattr(integrate, "BLOCK", block)
+        out = tmp_path / str(block)
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(written[0]) > 1
+    for files in written[1:]:
+        assert files == written[0]

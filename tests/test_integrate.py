@@ -122,3 +122,34 @@ def test_grid_validation():
         validate_grid([[0.0, 1.0]])
     with pytest.raises(ConfigurationError):
         propagate_grid(np.eye(2), [0.0, 1.0], np.zeros(2), substep=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# blocks: the same states whatever BLOCK is
+# ---------------------------------------------------------------------------
+
+def whole_grid(monkeypatch, generator, t, y0):
+    """The states with every grid one block (the doubling over the whole grid)."""
+    monkeypatch.setattr(integrate, "BLOCK", 1 << 30)
+    return propagate_grid(generator, t, y0)
+
+
+@pytest.mark.parametrize("dim", [6, 81])
+@pytest.mark.parametrize("block", [2, 4, 8])
+def test_blocks_equal_whole_grid_fill(monkeypatch, dim, block):
+    # nt on both sides of powers of two, partial last blocks, and one-row
+    # last blocks whose block index is (17, 33) and is not (13, 25) a power
+    # of two; one non-uniform grid is stepped block by block
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    generator = -1j * (a + a.conj().T) / dim - 0.05 * np.eye(dim)
+    y0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    grids = [0.01 * np.arange(nt) for nt in (5, 12, 13, 14, 17, 25, 29, 33)]
+    grids.append(np.cumsum([0.0] + [0.01, 0.02] * 6))
+    for t in grids:
+        expected = whole_grid(monkeypatch, generator, t, y0)
+        monkeypatch.setattr(integrate, "BLOCK", block)
+        blocks = [b.copy() for b in integrate.propagate_blocks(generator, t, y0)]
+        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), expected)
+        assert np.array_equal(propagate_grid(generator, t, y0), expected)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,8 @@ def test_default_operators_take_one_build(monkeypatch, kind, dim):
 
 @pytest.mark.parametrize("kind,dim", [("bimodal", 13), ("single_mode", 8)])
 def test_generator_matches_rhs(kind, dim):
-    # the generator on vec(rho) is built from lindblad_rhs
+    # two derivations: the Kronecker-form generator on vec(rho) and
+    # lindblad_rhs, the same algebra on matrices
     p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5, kappa_a=0.1,
                     kappa_b=0.05 if kind == "bimodal" else 0.0)
     rho = random_density(dim, np.random.default_rng(11))
@@ -78,7 +81,7 @@ def test_generator_matches_rhs(kind, dim):
 
 @pytest.mark.parametrize("kind,dim", [("bimodal", 13), ("single_mode", 8)])
 def test_sector_generator_is_the_full_generator_block(kind, dim):
-    # built from the sector's unit matrices alone, bit for bit the same
+    # a sector's generator is bit for bit the same block of the full one
     p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5, kappa_a=0.1,
                     kappa_b=0.05 if kind == "bimodal" else 0.0)
     full = lindblad._generator(kind, p, dim)
@@ -102,11 +105,11 @@ def test_sector_path_matches_full_generator(monkeypatch, kind, dim, sector,
     initial = random_density(dim, np.random.default_rng(5)) if coherences else None
     dims = []
 
-    def capture(generator, t_grid, y0, substep=None):
+    def capture(generator, t_grid, y0, substep=None, out=None):
         dims.append(generator.shape[0])
-        return integrate.propagate_grid(generator, t_grid, y0, substep=substep)
+        return integrate.propagate_blocks(generator, t_grid, y0, substep, out)
 
-    monkeypatch.setattr(lindblad, "propagate_grid", capture)
+    monkeypatch.setattr(lindblad, "propagate_blocks", capture)
     states = evolve_density(kind, p, t, initial=initial)
     rho0 = lindblad._initial_density(enumerate_basis(kind, damped=True), initial)
     full = integrate.propagate_grid(
@@ -423,10 +426,36 @@ def test_population_refuses_unknown_label_before_evolving(monkeypatch):
     def no_evolution(*args, **kwargs):
         raise AssertionError("evolved before checking the label")
 
-    monkeypatch.setattr(lindblad, "propagate_grid", no_evolution)
+    monkeypatch.setattr(lindblad, "propagate_blocks", no_evolution)
     with pytest.raises(ConfigurationError):
         evolve_population("single_mode", ModelParams(kappa_a=0.1), [0.0, 1.0],
                           "gg,11")
+
+
+def damage(breach: str, row: np.ndarray) -> None:
+    """Break one propagated bimodal dN = 0 sector row in place."""
+    d = 13
+    n = excitation_numbers(enumerate_basis("bimodal", damped=True))
+    top, vacuum = np.flatnonzero(n == 2), np.flatnonzero(n == 0)[0]
+    idx = np.flatnonzero(sectors("bimodal") == 0)
+
+    def at(r, c):                   # column of rho[r, c] in the dN = 0 sector
+        return np.searchsorted(idx, r * d + c)
+
+    if breach == "trace":
+        row *= 1.01
+    elif breach == "hermiticity":
+        row[at(top[0], top[3])] += 1e-3
+    elif breach == "positivity_8":
+        u, _ = np.linalg.qr(random_density(8, np.random.default_rng(4)))
+        block = u @ np.diag([1.01, -0.01] + [0] * 6) @ u.conj().T
+        row[:] = 0.0
+        row[at(top[:, None], top)] = block
+    elif breach == "positivity_1":
+        row[:] = 0.0
+        row[at(top[1], top[1])], row[at(vacuum, vacuum)] = 1.01, -0.01
+    else:
+        row[at(top[2], top[5])] = np.nan
 
 
 @pytest.mark.parametrize("breach,invariant", [
@@ -440,43 +469,30 @@ def test_sector_checks_match_expanded_stack(monkeypatch, breach, invariant):
     # a fault in the propagated sector raises, through the column map, what
     # the check on the (nt, d, d) stack raises: invariant, time and defect
     d, i = 13, 700
-    n = excitation_numbers(enumerate_basis("bimodal", damped=True))
-    top, vacuum = np.flatnonzero(n == 2), np.flatnonzero(n == 0)[0]
     idx = np.flatnonzero(sectors("bimodal") == 0)
     captured = []
 
-    def at(r, c):                   # column of rho[r, c] in the dN = 0 sector
-        return np.searchsorted(idx, r * d + c)
+    def corrupt(generator, t_grid, y0, substep=None, out=None):
+        blocks = []
+        captured.append(blocks)
+        for block in integrate.propagate_blocks(generator, t_grid, y0,
+                                                substep, out):
+            start = sum(map(len, blocks))
+            if start <= i < start + len(block):
+                damage(breach, block[i - start])
+            blocks.append(block.copy())
+            yield block
 
-    def corrupt(generator, t_grid, y0, substep=None):
-        out = integrate.propagate_grid(generator, t_grid, y0, substep=substep)
-        row = out[i]
-        if breach == "trace":
-            row *= 1.01
-        elif breach == "hermiticity":
-            row[at(top[0], top[3])] += 1e-3
-        elif breach == "positivity_8":
-            u, _ = np.linalg.qr(random_density(8, np.random.default_rng(4)))
-            block = u @ np.diag([1.01, -0.01] + [0] * 6) @ u.conj().T
-            row[:] = 0.0
-            row[at(top[:, None], top)] = block
-        elif breach == "positivity_1":
-            row[:] = 0.0
-            row[at(top[1], top[1])], row[at(vacuum, vacuum)] = 1.01, -0.01
-        else:
-            row[at(top[2], top[5])] = np.nan
-        captured.append(out.copy())
-        return out
-
-    monkeypatch.setattr(lindblad, "propagate_grid", corrupt)
+    monkeypatch.setattr(lindblad, "propagate_blocks", corrupt)
     t = time_grid(10.0)
     raised = []
     for evolve in (evolve_population, evolve_density):
         with pytest.raises(NumericalInvariantError) as exc:
             evolve("bimodal", DAMPED_PARAMS, t)
         raised.append(exc.value)
+    sector = np.concatenate(captured[0])    # up to the breach's block
     stack = np.zeros((t.size, d * d), dtype=complex)
-    stack[:, idx] = captured[0]
+    stack[:len(sector), idx] = sector
     for support in (sectors("bimodal") == 0, None):
         with pytest.raises(NumericalInvariantError) as exc:
             lindblad._check_trajectory(stack.reshape(-1, d, d), t, support)
@@ -534,3 +550,74 @@ def test_population_unknown_label():
 def test_empty_trajectory_rejected():
     with pytest.raises(ConfigurationError):
         population_series([], "ee,00")
+
+
+# ---------------------------------------------------------------------------
+# blocks: the same run whatever BLOCK is, in memory bounded by BLOCK
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["bimodal", "single_mode"])
+@pytest.mark.parametrize("kappa", [0.0, 0.1])
+def test_blocked_runs_equal_one_block(monkeypatch, kind, kappa):
+    # dN in {-1, 0, 1}: three sectors share each working block; 21 points
+    # leave a partial or one-row last block at every BLOCK below
+    p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.55, kappa_a=kappa,
+                    kappa_b=kappa if kind == "bimodal" else 0.0)
+    t, initial = time_grid(0.2), superposed_initial(kind)
+    runs = []
+    for block in (1 << 30, 2, 4, 8):
+        monkeypatch.setattr(integrate, "BLOCK", block)
+        runs.append((evolve_density(kind, p, t, initial=initial).values,
+                     evolve_population(kind, p, t, initial=initial).values))
+    for density, population in runs[1:]:
+        assert np.array_equal(density, runs[0][0])
+        assert np.array_equal(population, runs[0][1])
+
+
+@pytest.mark.parametrize("breach,invariant", [
+    ("trace", "trace"),
+    ("hermiticity", "Hermiticity"),
+    ("positivity_8", "positivity"),
+    ("nan", "Hermiticity"),
+])
+def test_breach_in_third_block_matches_one_block(monkeypatch, breach, invariant):
+    # row 9 lies in the third block of 4: the blocked run raises the
+    # unblocked run's invariant, time and defect
+    def corrupt(generator, t_grid, y0, substep=None, out=None):
+        start = 0
+        for block in integrate.propagate_blocks(generator, t_grid, y0,
+                                                substep, out):
+            if start <= 9 < start + len(block):
+                damage(breach, block[9 - start])
+            start += len(block)
+            yield block
+
+    monkeypatch.setattr(lindblad, "propagate_blocks", corrupt)
+    t = time_grid(0.2)
+    raised = []
+    for block in (1 << 30, 4):
+        monkeypatch.setattr(integrate, "BLOCK", block)
+        for evolve in (evolve_population, evolve_density):
+            with pytest.raises(NumericalInvariantError) as exc:
+                evolve("bimodal", DAMPED_PARAMS, t)
+            raised.append(exc.value)
+    assert raised[0].invariant == f"density-matrix {invariant}"
+    for other in raised:
+        assert (other.invariant, other.time) == (raised[0].invariant, t[9])
+        np.testing.assert_equal(other.defect, raised[0].defect)
+
+
+def test_population_memory_is_bounded_by_block(monkeypatch):
+    # with BLOCK = 256, four times the grid keeps the traced peak within 10%:
+    # only the one output column grows with the grid
+    monkeypatch.setattr(integrate, "BLOCK", 256)
+    peaks = []
+    for nt in (2049, 8193):
+        t = 0.01 * np.arange(nt)
+        tracemalloc.start()
+        try:
+            evolve_population("bimodal", DAMPED_PARAMS, t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]

@@ -7,7 +7,9 @@ from twophoton import (ConfigurationError, ModelParams,
                        NumericalInvariantError, build_hamiltonian,
                        evolve_amplitudes, evolve_population, expm_reference,
                        expm_series, time_grid, two_photon_probability)
+from twophoton import integrate, unitary
 from twophoton.experiments import MAX_DEFAULT_HORIZON
+from twophoton.unitary import evolve_probability
 
 P_RES = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5)
 
@@ -179,3 +181,47 @@ def test_custom_initial_state():
     prob = two_photon_probability(series)
     assert prob.values[0] == pytest.approx(1.0)
     assert prob.values.min() < 0.99
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("bimodal", P_RES),
+    ("single_mode", ModelParams(g2=2.0, delta_cap=-5.0, delta_small=2.75)),
+])
+def test_blocked_amplitudes_equal_one_block(monkeypatch, kind, params):
+    # 21 points: partial and one-row last blocks at BLOCK 2, 4 and 8; the
+    # probability reader gives two_photon_probability(evolve_amplitudes)
+    t = time_grid(0.2)
+    monkeypatch.setattr(integrate, "BLOCK", 1 << 30)
+    amplitudes = evolve_amplitudes(kind, params, t).values
+    probability = two_photon_probability(evolve_amplitudes(kind, params, t))
+    for block in (1 << 30, 2, 4, 8):
+        monkeypatch.setattr(integrate, "BLOCK", block)
+        assert np.array_equal(evolve_amplitudes(kind, params, t).values,
+                              amplitudes)
+        series = evolve_probability(kind, params, t)
+        assert np.array_equal(series.times, probability.times)
+        assert np.array_equal(series.values, probability.values)
+
+
+def test_norm_breach_in_third_block_matches_one_block(monkeypatch):
+    def stretch(generator, t_grid, y0, substep=None, out=None):
+        start = 0
+        for block in integrate.propagate_blocks(generator, t_grid, y0,
+                                                substep, out):
+            if start <= 9 < start + len(block):
+                block[9 - start] *= 1.01
+            start += len(block)
+            yield block
+
+    monkeypatch.setattr(unitary, "propagate_blocks", stretch)
+    t = time_grid(0.2)
+    raised = []
+    for block in (1 << 30, 4):            # row 9: the third block of 4
+        monkeypatch.setattr(integrate, "BLOCK", block)
+        for evolve in (evolve_amplitudes, evolve_probability):
+            with pytest.raises(NumericalInvariantError) as err:
+                evolve("bimodal", P_RES, t)
+            raised.append(err.value)
+    for other in raised:
+        assert (other.invariant, other.time) == ("amplitude norm", t[9])
+        assert other.defect == raised[0].defect
