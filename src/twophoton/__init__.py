@@ -23,15 +23,12 @@ from .experiments import (EnvelopeComparison, ResonanceReport, SweepResult,
                           SweepRow, SweepSpec, damping_sweep, default_horizon,
                           envelope_compare, resonance_report, scan_two_photon,
                           time_grid)
-from .lindblad import (DensityMatrix, DensityTrajectory, evolve_density,
-                       evolve_population, lindblad_rhs, population_series,
-                       two_photon_population)
-from .operators import (build_hamiltonian, build_jump_operators,
-                        embed_unitary_sector, excitation_numbers,
-                        spectrum_lines)
+from .lindblad import evolve_density, evolve_population, lindblad_rhs
+from .operators import (build_hamiltonian, embed_unitary_sector,
+                        excitation_numbers, spectrum_lines)
 from .params import ModelParams, SystemKind
-from .unitary import (TimeSeries, evolve_amplitudes, expm_reference,
-                      expm_series, two_photon_probability)
+from .unitary import (TimeSeries, evolve_amplitudes, evolve_probability,
+                      expm_series)
 
 
 def __getattr__(name: str):
@@ -54,11 +51,9 @@ __all__ = [
     "EnvelopeComparison", "ResonanceReport", "SweepResult", "SweepRow",
     "SweepSpec", "damping_sweep", "default_horizon", "envelope_compare",
     "resonance_report", "scan_two_photon", "time_grid",
-    "DensityMatrix", "DensityTrajectory", "evolve_density", "evolve_population",
-    "lindblad_rhs", "population_series", "two_photon_population",
-    "build_hamiltonian", "build_jump_operators", "embed_unitary_sector",
+    "evolve_density", "evolve_population", "lindblad_rhs",
+    "build_hamiltonian", "embed_unitary_sector",
     "excitation_numbers", "spectrum_lines",
     "ModelParams", "SystemKind",
-    "TimeSeries", "evolve_amplitudes", "expm_reference", "expm_series",
-    "two_photon_probability",
+    "TimeSeries", "evolve_amplitudes", "evolve_probability", "expm_series",
 ]

@@ -66,8 +66,9 @@ def time_grid(horizon: float, step: float = PEAK_GRID_STEP) -> np.ndarray:
 
 
 def axis_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Axis start, start + step, ... to stop: at most ``MAX_GRID_POINTS``,
-    checked before anything is allocated."""
+    """Axis start, start + step, ... up to stop, never past it (a point
+    within 1e-9 steps of stop counts as stop): at most
+    ``MAX_GRID_POINTS``, checked before anything is allocated."""
     if not (step > 0 and stop > start):
         raise ConfigurationError("axis range needs step > 0 and stop > start")
     n = (stop - start) / step
@@ -75,7 +76,7 @@ def axis_grid(start: float, stop: float, step: float) -> np.ndarray:
         raise ConfigurationError(
             f"axis range {start}..{stop} at step {step} must give at most "
             f"{MAX_GRID_POINTS} grid points")
-    return start + step * np.arange(int(round(n)) + 1)
+    return start + step * np.arange(int(np.floor(n + 1e-9)) + 1)
 
 
 def default_horizon(kind: SystemKind | str, params: ModelParams) -> float:

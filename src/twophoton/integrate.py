@@ -5,8 +5,9 @@ y' = A y: amplitudes under A = -iH, and density matrices under the
 master-equation generator acting on the flattened matrix (see
 :mod:`twophoton.lindblad`).  Both go through the one
 :func:`propagate_blocks`, which yields the states in consecutive blocks of
-at most ``BLOCK`` points, so a long run is held a block at a time;
-:func:`propagate_grid` writes the blocks into one whole-grid array.
+at most ``BLOCK`` points, all rows of the one buffer it allocates, so a
+long run is held two blocks at a time; :func:`propagate_grid` copies the
+blocks into one whole-grid array.
 An output interval dt is split into n equal sub-intervals of length
 h = dt/n <= THETA/||A||_1, and each takes one degree-18 Taylor step,
 
@@ -72,18 +73,19 @@ def validate_grid(t_grid: np.ndarray) -> np.ndarray:
 def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
                    substep: float | None = None) -> np.ndarray:
     """The (len(t_grid), dim) array of states: the blocks of
-    :func:`propagate_blocks`, each written at its own rows."""
+    :func:`propagate_blocks`, each copied to its own rows."""
     t = validate_grid(t_grid)
     out = np.empty((t.size, np.size(y0)), dtype=complex)
-    for _ in propagate_blocks(generator, t, y0, substep, out):
-        pass
+    for start, block in propagate_blocks(generator, t, y0, substep):
+        out[start:start + len(block)] = block
     return out
 
 
 def propagate_blocks(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
-                     substep: float | None = None, out: np.ndarray | None = None):
-    """Integrate y' = generator @ y over an output grid, yielding the states
-    in consecutive blocks of at most ``BLOCK`` rows.
+                     substep: float | None = None):
+    """Integrate y' = generator @ y over an output grid, yielding
+    ``(start, block)``: the states at t_grid[start:start + len(block)], in
+    consecutive blocks of at most ``BLOCK`` rows.
 
     ``y0`` is the state at ``t_grid[0]``.  An output interval dt is split
     into n equal sub-intervals, each one degree-18 Taylor step; its
@@ -110,14 +112,9 @@ def propagate_blocks(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
     is advanced by its group's first length, which may differ from its own
     by up to 1e-12, and these differences add up along the grid.
 
-    ``out`` receives the states, and each yielded block is a view of it.
-    An (nt, dim) array holds every block at its own rows.  A shorter one,
-    of at least min(nt, BLOCK) rows, is reused: B0 is written to its first
-    rows and every later block to rows from ``BLOCK`` on if there are
-    2 * BLOCK, else (after B0 is copied) again to the first rows; a block
-    is valid until the next is asked for.  The default is a new array of
-    min(nt, 2 * BLOCK) rows, so a grid of up to 2 * BLOCK points is held
-    whole.
+    The blocks are rows of one new array of min(nt, 2 * BLOCK) rows: B0
+    keeps the first ``BLOCK``, and every later block is written over the
+    rows after them, so a later block is valid until the next is asked for.
 
     Raises ``ConfigurationError`` if an interval needs more sub-intervals
     than float arithmetic can count or its propagator is not finite (the
@@ -129,37 +126,24 @@ def propagate_blocks(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
 
     y = np.array(y0, dtype=complex)
     nt, size = t.size, BLOCK
-    if out is None:
-        out = np.empty((min(nt, 2 * size), y.size), dtype=complex)
-    whole = len(out) == nt
-    later = out[size:] if len(out) >= 2 * size else out
-
-    def rows(start: int) -> np.ndarray:
-        """Where the block starting at grid index ``start`` is written."""
-        n = min(size, nt - start)
-        if whole:
-            return out[start:start + n]
-        return (later if start else out)[:n]
-
+    out = np.empty((min(nt, 2 * size), y.size), dtype=complex)
+    head, later = out[:size], out[size:]
     out[0] = y
     if nt == 1:
-        yield out[:1]
+        yield 0, out
         return
 
     step = (t[-1] - t[0]) / (nt - 1)
     drift = np.max(np.abs(t - (t[0] + step * np.arange(nt))))
     if drift <= UNIFORM_TOLERANCE * step:
-        head = rows(0)
         power = _fill_by_doubling(
             _interval_propagator(generator, step, substep), head)
-        yield head
+        yield 0, head
         if nt <= size:
             return
-        if later is out and not whole:      # the next blocks overwrite B0
-            head = head.copy()
         powers = [power @ power]
         for start in range(size, nt, size):
-            c, block = start // size, rows(start)
+            c, block = start // size, later[:nt - start]
             while len(powers) < c.bit_length():
                 powers.append(powers[-1] @ powers[-1])
             chain = [q for j, q in enumerate(powers) if c >> j & 1]
@@ -171,7 +155,7 @@ def propagate_blocks(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
                 np.matmul(x, chain[-1].T, out=block)
             else:
                 block[:] = (x @ chain[-1].T)[:1]
-            yield block
+            yield start, block
         return
 
     dt = np.diff(t)
@@ -181,11 +165,11 @@ def propagate_blocks(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
                    for i in first]
     group = group.tolist()
     for start in range(0, nt, size):
-        block = rows(start)
+        block = (later if start else head)[:nt - start]
         for i in range(max(start, 1), start + len(block)):
             y = propagators[group[i - 1]] @ y
             block[i - start] = y
-        yield block
+        yield start, block
 
 
 def _interval_propagator(generator: np.ndarray, dt: float,

@@ -7,30 +7,27 @@ The master equation evolved here is
 
 with one annihilator per cavity mode, so each mode loses photons at rate
 2*kappa_m.  H keeps the excitation number N and each jump lowers it by
-one, so the generator keeps dN = N(i) - N(j) of each entry rho[i, j].
-Each dN sector the initial state occupies (the default state: dN = 0 only,
-81 of 169 entries bimodal, 26 of 64 single-mode) is stepped on its own
-block of the generator on vec(rho), sliced from the Kronecker form of the
-dissipator (``_generator``; ``lindblad_rhs`` is the same algebra on
-matrices, kept as its independent check).  None is derived from another
-by conjugation, so the Hermiticity check still tests the dynamics.
-:func:`twophoton.integrate.propagate_blocks` writes each sector straight
-into its columns of one working array of at most ``BLOCK`` points, whose
-last column is zero; a (d, d) map gives the column of each rho[i, j].
-Each block is checked through that map on the occupied entries only, so
-a dN = 0 state (block-diagonal in N: 8/4/1 bimodal, 4/3/1 single-mode) is
-checked block by block, and the first breach in time order aborts the
-run.  ``evolve_population`` keeps one column of each block;
-``evolve_density`` fills its (nt, d, d) output block by block.
+one on both sides of rho, so the generator keeps dN = N(i) - N(j) of each
+entry rho[i, j].  The initial states of this engine (the doubly-excited
+vacuum, or any state reached from it) are block-diagonal in N, so it
+evolves the one dN = 0 sector (81 of 169 entries bimodal, 26 of 64
+single-mode) on its block of the generator on vec(rho), sliced from the
+Kronecker form of the dissipator (``_generator``; ``lindblad_rhs`` is the
+same algebra on matrices, kept as its independent check).  An initial
+state with a coherence between different N is refused.  No entry is
+derived from another by conjugation, so the Hermiticity check still tests
+the dynamics.  Each block of
+:func:`twophoton.integrate.propagate_blocks` is checked on the N blocks
+(8/4/1 bimodal, 4/3/1 single-mode) before it is read, and the first breach
+in time order aborts the run.  ``evolve_population`` keeps one column of
+each block; ``evolve_density`` scatters each block into its (nt, d, d)
+output, whose entries outside the sector stay exactly 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import integrate
 from .basis import Basis, enumerate_basis
 from .errors import ConfigurationError, NumericalInvariantError
 from .integrate import propagate_blocks, validate_grid
@@ -41,73 +38,47 @@ from .unitary import TimeSeries
 TRACE_TOLERANCE = 1e-8
 HERMITICITY_TOLERANCE = 1e-8
 EIGENVALUE_FLOOR = -1e-6
-CHECK_CHUNK = 512       # points per check batch: temporaries scale with the pattern
+CHECK_CHUNK = 512       # points per check batch: temporaries scale with the N blocks
 SCREEN_MARGIN = 1e-9    # Cholesky screen margin, far above its ~d*1e-16 rounding
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """One density matrix snapshot on a frozen basis."""
+def _sector(kind: SystemKind):
+    """The dN = 0 sector of ``kind``'s damped basis: ``(basis, inside, cols,
+    blocks)``.
 
-    basis: Basis
-    matrix: np.ndarray
-    time: float
-
-    def validate(self) -> None:
-        """Raise if trace, Hermiticity, or positivity are out of tolerance."""
-        _check_trajectory(self.matrix[np.newaxis], np.array([self.time]))
-
-
-class DensityTrajectory(TimeSeries):
-    """Density matrices on ``basis``: ``values`` is the (nt, d, d) array.
-
-    Indexing (negative too) and iteration, which stops at the IndexError
-    past the end, give :class:`DensityMatrix` views built on demand.
+    ``inside`` (boolean over rho.ravel()) marks the entries with
+    N(i) = N(j); such an entry rho[i, j] is column ``cols[i, j]`` of the
+    sector, in vec(rho) order (other entries of ``cols`` are not read).
+    ``blocks`` holds, per N block, its columns, its transpose's and its
+    size.
     """
-
-    def __getitem__(self, i: int) -> DensityMatrix:
-        return DensityMatrix(self.basis, self.values[i], float(self.times[i]))
-
-
-def _check_trajectory(rhos: np.ndarray, t: np.ndarray,
-                      support: np.ndarray | None = None) -> None:
-    """Raise at the first point of an (nt, d, d) stack that fails an invariant.
-
-    ``support`` (boolean over rho.ravel(); None: all) marks the entries that
-    may be non-zero; see :func:`_pattern`.  The stack is read as its
-    (nt, d*d) columns.
-    """
-    d = rhos.shape[-1]
-    mask = np.ones((d, d), dtype=bool) if support is None else support.reshape(d, d)
-    _check_columns(rhos.reshape(len(rhos), d * d), t,
-                   _pattern(np.arange(d * d).reshape(d, d), mask))
-
-
-def _pattern(cols: np.ndarray, support: np.ndarray):
-    """What :func:`_check_columns` reads of states whose rho[i, j] is column
-    ``cols[i, j]``: ``(diagonal, blocks)``, the diagonal's columns and, per
-    connected diagonal block, its columns, its transpose's and its size.
-
-    ``support`` (boolean, d x d) marks the entries that may be non-zero.
-    With its transpose and the diagonal it splits the basis into connected
-    diagonal blocks; other entries are not read.
-    """
-    d = len(cols)
-    mask = support | support.T | np.eye(d, dtype=bool)
-    reach = np.linalg.matrix_power(mask, d)         # connectivity
+    basis = enumerate_basis(kind, damped=True)
+    n = excitation_numbers(basis)
+    inside = np.equal.outer(n, n).ravel()
+    cols = (np.cumsum(inside) - 1).reshape(basis.dim, basis.dim)
     blocks = []
-    for row in np.unique(reach, axis=0):
-        b = np.flatnonzero(row)
+    for k in np.unique(n):
+        b = np.flatnonzero(n == k)
         own = cols[np.ix_(b, b)]
         blocks.append((own.ravel(), own.T.ravel(), len(b)))
-    return cols.diagonal(), blocks
+    return basis, inside, cols, blocks
 
 
-def _check_columns(y: np.ndarray, t: np.ndarray, pattern) -> None:
+def _check_trajectory(kind: SystemKind | str, rhos: np.ndarray,
+                      t: np.ndarray) -> None:
+    """Raise at the first point of an (nt, d, d) stack on ``kind``'s damped
+    basis that fails an invariant, read as the engine reads its sector:
+    entries between different N are not read."""
+    _, inside, cols, blocks = _sector(SystemKind.coerce(kind))
+    _check_columns(rhos.reshape(len(rhos), -1)[:, inside], t, cols, blocks)
+
+
+def _check_columns(y: np.ndarray, t: np.ndarray, cols: np.ndarray,
+                   blocks) -> None:
     """Raise at the first point that fails an invariant; ``y[k]`` holds the
-    state at t[k] as :func:`_pattern` ``pattern`` maps it.
+    sector at t[k], rho[i, j] in column ``cols[i, j]`` (see :func:`_sector`).
 
-    Each block is gathered by ``np.take`` on its columns, its conjugate
+    Each N block is gathered by ``np.take`` on its columns, its conjugate
     partner on the transposed columns.  Per batch of ``CHECK_CHUNK``: a
     stacked trace and a Hermiticity maximum over the blocks, then, on the
     blocks' Hermitian parts before the first such breach (so finite), one
@@ -117,7 +88,7 @@ def _check_columns(y: np.ndarray, t: np.ndarray, pattern) -> None:
     is the defect.  Trace is reported before Hermiticity, Hermiticity before
     positivity; a NaN defect is a breach (``not defect <= tol``).
     """
-    diagonal, blocks = pattern
+    diagonal = cols.diagonal()
     shift = abs(EIGENVALUE_FLOOR) - SCREEN_MARGIN
     for start in range(0, len(y), CHECK_CHUNK):
         chunk = y[start:start + CHECK_CHUNK]
@@ -207,81 +178,68 @@ def _generator(kind: SystemKind, params: ModelParams, dim: int,
     return out if idx is None else np.ascontiguousarray(out[np.ix_(idx, idx)])
 
 
-def _initial_density(basis: Basis, initial) -> np.ndarray:
+def _initial_density(basis: Basis, inside: np.ndarray, initial) -> np.ndarray:
+    """vec(rho0) of ``initial`` (None: the doubly-excited vacuum), refused
+    unless it is a (d, d) array with no coherence between different N."""
     if initial is None:
         rho0 = np.zeros((basis.dim, basis.dim), dtype=complex)
         rho0[basis.initial_index, basis.initial_index] = 1.0
-        return rho0
-    rho0 = np.asarray(getattr(initial, "matrix", initial), dtype=complex)
+        return rho0.ravel()
+    rho0 = np.asarray(initial, dtype=complex)
     if rho0.shape != (basis.dim, basis.dim):
         raise ConfigurationError(
             f"initial density matrix must have shape {(basis.dim, basis.dim)}, "
             f"got {rho0.shape}")
-    return rho0
+    if np.any(rho0.ravel()[~inside]):
+        raise ConfigurationError(
+            "initial density matrix couples different excitation numbers; "
+            "only states block-diagonal in N are evolved")
+    return rho0.ravel()
 
 
-def _evolve_sectors(kind: SystemKind, params: ModelParams, t: np.ndarray,
-                    initial, substep: float | None):
-    """Propagate and check each dN sector ``initial`` occupies, by blocks.
+def _evolve_sector(kind: SystemKind, params: ModelParams, t: np.ndarray,
+                   initial, substep: float | None):
+    """Propagate and check the dN = 0 sector of ``initial``, by blocks.
 
-    Returns ``(basis, cols, blocks)``.  ``blocks`` yields ``(start, y)``: y
-    (n, m + 1) holds the states at t[start:start + n], the sectors side by
-    side (ascending dN, each in vec(rho) order) and a last, zero column, so
-    rho[i, j] is ``y[:, cols[i, j]]``.  Each sector's propagator writes
-    straight into its columns of the one working array, reused by every
-    block; a block is checked before it is yielded.
+    Returns ``(basis, inside, cols, run)``, the first three as
+    :func:`_sector`; ``run`` yields the ``(start, y)`` of
+    :func:`twophoton.integrate.propagate_blocks`, y holding the sector at
+    t[start:start + len(y)], each block checked before it is yielded.  The
+    initial state is refused here, before anything is evolved.
     """
-    basis = enumerate_basis(kind, damped=True)
-    y0 = _initial_density(basis, initial).ravel()
+    basis, inside, cols, blocks = _sector(kind)
+    y0 = _initial_density(basis, inside, initial)[inside]
+    generator = _generator(kind, params, basis.dim, np.flatnonzero(inside))
 
-    d = basis.dim
-    n = excitation_numbers(basis)
-    sector = np.subtract.outer(n, n).ravel()        # dN of each vec(rho) entry
-    dns = np.unique(sector[y0 != 0])
-    m = int(np.isin(sector, dns).sum())
-    cols = np.full(d * d, m)
-    y = np.empty((min(t.size, integrate.BLOCK), m + 1), dtype=complex)
-    y[:, m] = 0.0
-    sectors, start = [], 0
-    for dn in dns:
-        idx = np.flatnonzero(sector == dn)
-        stop = start + idx.size
-        cols[idx] = np.arange(start, stop)
-        sectors.append(propagate_blocks(
-            _generator(kind, params, d, idx), t, y0[idx], substep,
-            out=y[:, start:stop]))
-        start = stop
-    cols = cols.reshape(d, d)
-    pattern = _pattern(cols, cols < m)
+    def checked():
+        for start, y in propagate_blocks(generator, t, y0, substep):
+            _check_columns(y, t[start:start + len(y)], cols, blocks)
+            yield start, y
 
-    def blocks():
-        start = 0
-        for written in zip(*sectors):
-            n = len(written[0])
-            _check_columns(y[:n], t[start:start + n], pattern)
-            yield start, y[:n]
-            start += n
-
-    return basis, cols, blocks()
+    return basis, inside, cols, checked()
 
 
 def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
-                   initial=None, substep: float | None = None) -> DensityTrajectory:
+                   initial=None, substep: float | None = None) -> TimeSeries:
     """Integrate the master equation over an output grid.
 
+    Returns the (nt, d, d) density matrices with the basis attached.
     ``initial`` defaults to the pure doubly-excited vacuum state and may be
-    a matrix or a :class:`DensityMatrix`; it is the state at ``t_grid[0]``.
-    Each dN sector it occupies is propagated on its block of the generator;
-    the other entries stay 0.  The first invariant breach in time raises.
+    any (d, d) array block-diagonal in the excitation number N (a coherence
+    between different N is a ``ConfigurationError``); it is the state at
+    ``t_grid[0]``.  Its dN = 0 sector is propagated on its block of the
+    generator; the other entries stay 0.  The first invariant breach in
+    time raises.
     """
     kind = SystemKind.coerce(kind)
     params.validate_for_kind(kind)
     t = validate_grid(t_grid)
-    basis, cols, blocks = _evolve_sectors(kind, params, t, initial, substep)
-    values = np.empty((t.size, basis.dim, basis.dim), dtype=complex)
-    for start, y in blocks:
-        np.take(y, cols, axis=1, out=values[start:start + len(y)])
-    return DensityTrajectory(times=t, values=values, basis=basis)
+    basis, inside, _, run = _evolve_sector(kind, params, t, initial, substep)
+    values = np.zeros((t.size, basis.dim, basis.dim), dtype=complex)
+    flat = values.reshape(t.size, -1)
+    for start, y in run:
+        flat[start:start + len(y), inside] = y
+    return TimeSeries(times=t, values=values, basis=basis)
 
 
 def evolve_population(kind: SystemKind | str, params: ModelParams, t_grid,
@@ -295,30 +253,11 @@ def evolve_population(kind: SystemKind | str, params: ModelParams, t_grid,
     """
     kind = SystemKind.coerce(kind)
     params.validate_for_kind(kind)
-    i = _index(enumerate_basis(kind, damped=True), label)
+    basis = enumerate_basis(kind, damped=True)
+    i = basis.two_photon_index if label is None else basis.index_of(label)
     t = validate_grid(t_grid)
-    _, cols, blocks = _evolve_sectors(kind, params, t, initial, substep)
+    _, _, cols, run = _evolve_sector(kind, params, t, initial, substep)
     values = np.empty(t.size)
-    for start, y in blocks:
+    for start, y in run:
         values[start:start + len(y)] = y[:, cols[i, i]].real
     return TimeSeries(times=t, values=values)
-
-
-def _index(basis: Basis, label: str | None) -> int:
-    return basis.two_photon_index if label is None else basis.index_of(label)
-
-
-def population_series(states: DensityTrajectory,
-                      label: str | None) -> TimeSeries:
-    """Occupation of one basis state (None: the two-photon target) along a
-    density-matrix trajectory."""
-    if not states:
-        raise ConfigurationError("empty density-matrix trajectory")
-    i = _index(states.basis, label)
-    return TimeSeries(times=states.times,
-                      values=states.values[:, i, i].real.copy())
-
-
-def two_photon_population(states: DensityTrajectory) -> TimeSeries:
-    """Occupation of the two-photon target state along a trajectory."""
-    return population_series(states, None)

@@ -196,9 +196,13 @@ def build_hamiltonian(kind: SystemKind | str, params: ModelParams,
 
 def damped_operators(kind: SystemKind | str,
                      params: ModelParams) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``build_hamiltonian(kind, params, damped=True)`` and
-    ``build_jump_operators(kind)`` from one ambient construction.
+    """``build_hamiltonian(kind, params, damped=True)`` and the mode
+    annihilators restricted to the damped sector, from one ambient
+    construction.
 
+    The annihilators are ``[a, b]`` for the bimodal system and ``[a]`` for
+    the single-mode one; the damping constants ``kappa_a``/``kappa_b`` are
+    applied by the density-matrix engine, not baked into these matrices.
     Every operator still passes the exact-closure check.
     """
     kind = SystemKind.coerce(kind)
@@ -206,20 +210,6 @@ def damped_operators(kind: SystemKind | str,
     with np.errstate(over="ignore", invalid="ignore"):    # checked by _finite
         h, jumps = _damped_operators(kind, params)
     return _finite(h), jumps
-
-
-def build_jump_operators(kind: SystemKind | str) -> list[np.ndarray]:
-    """Mode annihilators restricted to the damped sector.
-
-    Returns ``[a, b]`` for the bimodal system and ``[a]`` for the
-    single-mode one.  The damping constants ``kappa_a``/``kappa_b`` are
-    applied by the density-matrix engine, not baked into these matrices.
-    """
-    kind = SystemKind.coerce(kind)
-    # couplings/detunings do not matter for the annihilators; any valid
-    # params instance produces the same restricted matrices
-    _, jumps = _damped_operators(kind, ModelParams())
-    return jumps
 
 
 def embed_unitary_sector(kind: SystemKind | str) -> np.ndarray:

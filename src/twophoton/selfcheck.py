@@ -20,10 +20,10 @@ from .effective import (closed_form_probability, effective_hamiltonian,
                         resolvent_effective_hamiltonian)
 from .integrate import validate_grid
 from .lindblad import evolve_density, evolve_population
-from .operators import (build_hamiltonian, build_jump_operators,
+from .operators import (build_hamiltonian, damped_operators,
                         embed_unitary_sector, excitation_numbers)
 from .params import ModelParams, SystemKind
-from .unitary import (evolve_amplitudes, expm_series, two_photon_probability)
+from .unitary import evolve_amplitudes, evolve_probability, expm_series
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ def _check_undamped_density() -> CheckResult:
     params = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5)
     grid = np.linspace(0.0, 5.0, 51)
     damped = evolve_population(kind, params, grid).values
-    coherent = two_photon_probability(
-        evolve_amplitudes(kind, params, grid)).values
+    coherent = evolve_probability(kind, params, grid).values
     worst = float(np.max(np.abs(damped - coherent)))
     return CheckResult("undamped master equation reproduces coherent dynamics",
                        worst <= 1e-12, f"max population deviation {worst:.2e}")
@@ -86,8 +85,9 @@ def no_jump_deviation(kind: SystemKind | str, params: ModelParams,
     basis = enumerate_basis(kind, damped=True)
     n = excitation_numbers(basis)
     top = np.flatnonzero(n == n.max())
-    h_eff = build_hamiltonian(kind, params, damped=True).astype(complex)
-    for kappa, c in zip((params.kappa_a, params.kappa_b), build_jump_operators(kind)):
+    h, jumps = damped_operators(kind, params)
+    h_eff = h.astype(complex)
+    for kappa, c in zip((params.kappa_a, params.kappa_b), jumps):
         h_eff -= 1j * kappa * (c.T @ c)
     lam, vec = np.linalg.eig(h_eff[np.ix_(top, top)])
     coeff = np.linalg.solve(vec, (top == basis.initial_index).astype(complex))
@@ -137,8 +137,7 @@ def _check_destructive_limit() -> CheckResult:
     params = ModelParams(g1=1.0, g2=1.0, delta_cap=-10.0, delta_small=10.0)
     grid = np.linspace(0.0, 20.0, 2001)
     closed = closed_form_probability(SystemKind.BIMODAL, params, grid)
-    series = two_photon_probability(
-        evolve_amplitudes(SystemKind.BIMODAL, params, grid))
+    series = evolve_probability(SystemKind.BIMODAL, params, grid)
     peak = float(np.max(series.values))
     ok = float(np.max(np.abs(closed))) == 0.0 and peak <= 0.01
     return CheckResult("equal couplings at opposite detunings suppress emission",

@@ -2,14 +2,14 @@
 
 The state |psi(t)> = sum_k c_k(t)|k> is integrated as the linear system
 c' = -iHc with the fixed-step propagator from :mod:`twophoton.integrate`.
-An independent eigendecomposition path (``expm_series``, and
-``expm_reference`` for one time) provides the exact solution for
-cross-checks; the engine aborts if the norm of the
+An independent eigendecomposition path (``expm_series``) provides the
+exact solution for cross-checks; the engine aborts if the norm of the
 integrated amplitude vector drifts by more than a part in 10^6, checked a
 block of :func:`twophoton.integrate.propagate_blocks` at a time.
-``evolve_amplitudes`` keeps every amplitude; ``evolve_probability`` keeps
-only the two-photon probability of each block, so a long run needs
-memory for one column and one block.
+``evolve_amplitudes`` copies every block into its whole (nt, dim) array;
+``evolve_probability`` keeps only the two-photon probability of each
+block, so a long run needs memory for one column and the iterator's one
+buffer.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ NORM_TOLERANCE = 1e-6
 class TimeSeries:
     """Values sampled on a strictly increasing time grid.
 
-    ``values`` is (nt, dim) complex for amplitude series (with ``basis``
-    attached) or (nt,) real for derived scalar observables.
+    ``values`` is (nt, dim) complex for amplitude series and (nt, d, d)
+    complex for density matrices (both with ``basis`` attached), or (nt,)
+    real for derived scalar observables.
     """
 
     times: np.ndarray
@@ -69,14 +70,13 @@ def _initial_vector(basis: Basis, initial) -> np.ndarray:
 
 
 def _checked_blocks(kind: SystemKind, params: ModelParams, basis: Basis,
-                    t: np.ndarray, initial, substep: float | None, out=None):
-    """Yield ``(start, block)``: the amplitudes at t[start:start + n] from
-    :func:`twophoton.integrate.propagate_blocks` (``out`` as there), each
+                    t: np.ndarray, initial, substep: float | None):
+    """Yield ``(start, block)`` of
+    :func:`twophoton.integrate.propagate_blocks` for the amplitudes, each
     block norm-checked before it is yielded."""
     c0 = _initial_vector(basis, initial)
     h = build_hamiltonian(kind, params, damped=False)
-    start = 0
-    for block in propagate_blocks(-1j * h, t, c0, substep, out):
+    for start, block in propagate_blocks(-1j * h, t, c0, substep):
         f = block.view(float)                   # one pass, no conj temporary
         drift = np.abs(np.sqrt(np.einsum("ij,ij->i", f, f)) - 1.0)
         breach = ~(drift <= NORM_TOLERANCE)     # a NaN drift is a breach too
@@ -86,7 +86,6 @@ def _checked_blocks(kind: SystemKind, params: ModelParams, basis: Basis,
                 "amplitude norm", float(drift[first]), NORM_TOLERANCE,
                 time=float(t[start + first]))
         yield start, block
-        start += len(block)
 
 
 def evolve_amplitudes(kind: SystemKind | str, params: ModelParams,
@@ -121,15 +120,16 @@ def evolve_amplitudes(kind: SystemKind | str, params: ModelParams,
     basis = enumerate_basis(kind, damped=False)
     t = validate_grid(t_grid)
     values = np.empty((t.size, basis.dim), dtype=complex)
-    for _ in _checked_blocks(kind, params, basis, t, initial, substep, values):
-        pass
+    for start, block in _checked_blocks(kind, params, basis, t, initial,
+                                        substep):
+        values[start:start + len(block)] = block
     return TimeSeries(times=t, values=values, basis=basis)
 
 
 def evolve_probability(kind: SystemKind | str, params: ModelParams, t_grid,
                        initial=None, substep: float | None = None) -> TimeSeries:
-    """``two_photon_probability(evolve_amplitudes(...))``, the same numbers
-    and checks, keeping one column of each block of amplitudes."""
+    """|c_target(t)|^2 of :func:`evolve_amplitudes` for the two-photon
+    state: the same run and checks, keeping one column of each block."""
     kind = SystemKind.coerce(kind)
     basis = enumerate_basis(kind, damped=False)
     t = validate_grid(t_grid)
@@ -140,16 +140,6 @@ def evolve_probability(kind: SystemKind | str, params: ModelParams, t_grid,
         np.square(np.abs(block[:, basis.two_photon_index], out=column),
                   out=column)
     return TimeSeries(times=t, values=values)
-
-
-def expm_reference(kind: SystemKind | str, params: ModelParams, t: float,
-                   initial=None) -> np.ndarray:
-    """Exact amplitudes at one time via eigendecomposition of H.
-
-    Independent of the stepping integrator; used as its oracle.  This is
-    :func:`expm_series` on the one-point grid ``[t]``.
-    """
-    return expm_series(kind, params, [t], initial).values[0]
 
 
 def expm_series(kind: SystemKind | str, params: ModelParams, t_grid,
@@ -164,13 +154,3 @@ def expm_series(kind: SystemKind | str, params: ModelParams, t_grid,
     phases = np.exp(-1j * np.outer(t, energies))        # (nt, dim)
     values = (phases * (vectors.T @ c0)) @ vectors.T
     return TimeSeries(times=t, values=values, basis=basis)
-
-
-def two_photon_probability(series: TimeSeries) -> TimeSeries:
-    """|c_target(t)|^2 for the two-photon state of the series' basis."""
-    if series.basis is None:
-        raise ConfigurationError(
-            "series has no basis attached; cannot locate the two-photon state")
-    idx = series.basis.two_photon_index
-    prob = np.abs(series.values[:, idx]) ** 2
-    return TimeSeries(times=series.times, values=prob)

@@ -12,11 +12,11 @@ import pytest
 from twophoton import (ModelParams, SweepSpec, closed_form_probability,
                        damping_sweep, effective_g_omega,
                        effective_hamiltonian, envelope_compare,
-                       evolve_amplitudes, evolve_density, expm_series,
-                       interference_amplitude, perturbative_probability,
+                       evolve_amplitudes, evolve_density, evolve_probability,
+                       expm_series, interference_amplitude,
+                       perturbative_probability,
                        resolvent_effective_hamiltonian, resonance_detuning,
-                       resonance_report, scan_two_photon, time_grid,
-                       two_photon_population, two_photon_probability)
+                       resonance_report, scan_two_photon, time_grid)
 
 SCAN_PARAMS = ModelParams(g2=1.5, delta_cap=-5.0)
 DEEP = ModelParams(g2=1.5, delta_cap=-10.0)
@@ -101,7 +101,7 @@ def test_criterion_2_shifted_resonance_location(report, headline_scan,
 def test_criterion_3_destructive_suppression(report):
     p = ModelParams(g1=1.0, g2=1.0, delta_cap=-10.0, delta_small=10.0)
     grid = time_grid(200.0)
-    prob = two_photon_probability(evolve_amplitudes("bimodal", p, grid))
+    prob = evolve_probability("bimodal", p, grid)
     peak = float(prob.values.max())
     envelope = closed_form_probability("bimodal", p, grid)
     ok = peak <= 0.01 and np.all(envelope == 0.0)
@@ -193,18 +193,18 @@ def test_criterion_7_damped_dynamics(report, damping):
     states = evolve_density("bimodal",
                             DAMPING_PARAMS.replace(kappa_a=0.03, kappa_b=0.03),
                             grid)
-    trace_defect = max(abs(np.trace(s.matrix).real - 1.0)
-                       + abs(np.trace(s.matrix).imag) for s in states)
-    herm_defect = max(float(np.max(np.abs(s.matrix - s.matrix.conj().T)))
-                      for s in states)
-    min_eig = min(float(np.linalg.eigvalsh(s.matrix).min()) for s in states)
+    trace_defect = max(abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+                       for rho in states.values)
+    herm_defect = max(float(np.max(np.abs(rho - rho.conj().T)))
+                      for rho in states.values)
+    min_eig = min(float(np.linalg.eigvalsh(rho).min()) for rho in states.values)
     invariants_ok = (trace_defect <= 1e-8 and herm_defect <= 1e-8
                      and min_eig >= -1e-6)
 
     # kappa = 0 must reproduce the coherent dynamics
     undamped = damping.rows[0]
-    coherent = two_photon_probability(
-        evolve_amplitudes("bimodal", DAMPING_PARAMS, undamped.series.times))
+    coherent = evolve_probability("bimodal", DAMPING_PARAMS,
+                                  undamped.series.times)
     zero_kappa_gap = float(np.max(np.abs(undamped.series.values
                                          - coherent.values)))
 
@@ -233,8 +233,7 @@ def test_criterion_8_perturbative_limit(report):
     grid = time_grid(50.0)
     errors = {}
     for kind in ("bimodal", "single_mode"):
-        exact = two_photon_probability(
-            evolve_amplitudes(kind, p, grid)).values
+        exact = evolve_probability(kind, p, grid).values
         approx = perturbative_probability(kind, p, grid)
         errors[kind] = float(np.max(np.abs(approx - exact)) / np.max(exact))
     ok = all(err <= 0.20 for err in errors.values())

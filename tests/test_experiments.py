@@ -226,3 +226,17 @@ def test_resonance_report_strong_coupling():
 def test_resonance_report_interval_validation():
     with pytest.raises(ConfigurationError):
         resonance_report("bimodal", SCAN_PARAMS, (4.5, 2.5))
+
+
+@pytest.mark.parametrize("start,stop,step,points", [
+    (0.0, 1.08, 0.3, 4),        # 3.6 steps: a rounded count would add 1.2
+    (9.0, 10.0, 0.35, 3),       # resonance --interval 9 10 --scan-step 0.35
+    (2.5, 4.5, 0.05, 41),       # the figure and benchmark axes: a step
+    (2.0, 6.0, 0.05, 81),       # count within rounding of an integer keeps
+    (9.0, 10.0, 0.05, 21),      # its last point at stop
+])
+def test_axis_grid_never_passes_stop(start, stop, step, points):
+    axis = axis_grid(start, stop, step)
+    assert len(axis) == points
+    assert axis[-1] <= stop + 1e-9 * step
+    assert np.array_equal(axis, start + step * np.arange(points))

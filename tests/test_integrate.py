@@ -149,7 +149,9 @@ def test_blocks_equal_whole_grid_fill(monkeypatch, dim, block):
     for t in grids:
         expected = whole_grid(monkeypatch, generator, t, y0)
         monkeypatch.setattr(integrate, "BLOCK", block)
-        blocks = [b.copy() for b in integrate.propagate_blocks(generator, t, y0)]
+        starts, blocks = zip(*[(start, b.copy()) for start, b
+                               in integrate.propagate_blocks(generator, t, y0)])
+        assert list(starts) == list(range(0, t.size, block))
         assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
         assert np.array_equal(np.concatenate(blocks), expected)
         assert np.array_equal(propagate_grid(generator, t, y0), expected)

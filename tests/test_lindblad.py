@@ -2,15 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twophoton import (ConfigurationError, DensityMatrix, ModelParams,
+from twophoton import (ConfigurationError, ModelParams,
                        NumericalInvariantError, build_hamiltonian,
-                       build_jump_operators, embed_unitary_sector,
-                       enumerate_basis, evolve_amplitudes, evolve_density,
-                       evolve_population, lindblad_rhs, population_series,
-                       time_grid, two_photon_population)
+                       embed_unitary_sector, enumerate_basis,
+                       evolve_amplitudes, evolve_density, evolve_population,
+                       lindblad_rhs, time_grid)
 from twophoton import integrate, lindblad, operators
-from twophoton.operators import excitation_numbers
+from twophoton.operators import damped_operators, excitation_numbers
 from twophoton.selfcheck import no_jump_deviation
 
 DAMPED_PARAMS = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.55,
@@ -27,6 +28,42 @@ def sectors(kind: str) -> np.ndarray:
     """dN of each vec(rho) entry of the damped basis."""
     n = excitation_numbers(enumerate_basis(kind, damped=True))
     return np.subtract.outer(n, n).ravel()
+
+
+def sector_density(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """A random dN = 0 state: every N block a random full-rank density
+    matrix, with random weights, and zeros between different N."""
+    n = excitation_numbers(enumerate_basis(kind, damped=True))
+    rho = np.zeros((len(n), len(n)), dtype=complex)
+    for w, k in zip(rng.dirichlet(np.ones(3)), (2, 1, 0)):
+        b = np.flatnonzero(n == k)
+        rho[np.ix_(b, b)] = w * random_density(len(b), rng)
+    return rho
+
+
+def full_check(rhos: np.ndarray, t: np.ndarray):
+    """``(invariant, time, defect)`` of the first point of an (nt, d, d)
+    stack that fails an invariant, each point checked whole (trace, then
+    Hermiticity, then the least eigenvalue of its Hermitian part)."""
+    for rho, time in zip(rhos, t):
+        trace = np.trace(rho)
+        defect = abs(trace.real - 1.0) + abs(trace.imag)
+        if not defect <= lindblad.TRACE_TOLERANCE:
+            return "trace", time, defect
+        defect = np.abs(rho - rho.conj().T).max()
+        if not defect <= lindblad.HERMITICITY_TOLERANCE:
+            return "Hermiticity", time, defect
+        defect = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
+        if not defect >= lindblad.EIGENVALUE_FLOOR:
+            return "positivity", time, defect
+    return None
+
+
+def assert_raised_as_full_check(raised, rhos, t) -> None:
+    invariant, time, defect = full_check(rhos, t)
+    assert raised.invariant == f"density-matrix {invariant}"
+    assert raised.time == time
+    np.testing.assert_allclose(raised.defect, defect, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +91,7 @@ def test_default_operators_take_one_build(monkeypatch, kind, dim):
     rho = random_density(dim, np.random.default_rng(13))
     explicit = lindblad_rhs(kind, p, rho,
                             hamiltonian=build_hamiltonian(kind, p, damped=True),
-                            jumps=build_jump_operators(kind))
+                            jumps=damped_operators(kind, p)[1])
     original = operators._damped_operators
     builds = []
 
@@ -97,28 +134,27 @@ def test_sector_generator_is_the_full_generator_block(kind, dim):
 @pytest.mark.parametrize("coherences", [False, True], ids=["default", "coherent"])
 def test_sector_path_matches_full_generator(monkeypatch, kind, dim, sector,
                                             coherences):
-    # propagating each occupied dN sector alone equals propagating the full
-    # generator; a state with cross-N coherences occupies every sector
+    # propagating the dN = 0 sector alone equals propagating the full
+    # generator, also from a random dN = 0 state with coherences inside
+    # every N block
     p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5, kappa_a=0.1,
                     kappa_b=0.05 if kind == "bimodal" else 0.0)
     t = np.linspace(0.0, 2.0, 21)
-    initial = random_density(dim, np.random.default_rng(5)) if coherences else None
+    initial = sector_density(kind, np.random.default_rng(5)) if coherences else None
     dims = []
 
-    def capture(generator, t_grid, y0, substep=None, out=None):
+    def capture(generator, t_grid, y0, substep=None):
         dims.append(generator.shape[0])
-        return integrate.propagate_blocks(generator, t_grid, y0, substep, out)
+        return integrate.propagate_blocks(generator, t_grid, y0, substep)
 
     monkeypatch.setattr(lindblad, "propagate_blocks", capture)
     states = evolve_density(kind, p, t, initial=initial)
-    rho0 = lindblad._initial_density(enumerate_basis(kind, damped=True), initial)
+    _, inside, _, _ = lindblad._sector(kind)
+    rho0 = lindblad._initial_density(states.basis, inside, initial)
     full = integrate.propagate_grid(
-        lindblad._generator(kind, p, dim), t, rho0.ravel(), substep=None)
+        lindblad._generator(kind, p, dim), t, rho0, substep=None)
     assert np.max(np.abs(states.values.reshape(t.size, -1) - full)) < 1e-11
-    if coherences:
-        assert len(dims) > 1 and sum(dims) == dim * dim
-    else:
-        assert dims == [sector]
+    assert dims == [sector]
 
 
 def test_uniform_grid_builds_one_propagator(monkeypatch):
@@ -197,9 +233,9 @@ def test_zero_damping_matches_amplitude_dynamics(kind):
     series = evolve_amplitudes(kind, p, t)
     v = embed_unitary_sector(kind)
     worst = 0.0
-    for state, c in zip(states, series.values):
+    for rho, c in zip(states.values, series.values):
         pure = v @ np.outer(c, c.conj()) @ v.T
-        worst = max(worst, float(np.max(np.abs(state.matrix - pure))))
+        worst = max(worst, float(np.max(np.abs(rho - pure))))
     assert worst < 1e-8
 
 
@@ -214,27 +250,55 @@ def test_top_block_matches_no_jump_evolution(kind, params):
     assert no_jump_deviation(kind, params, time_grid(60.0)) <= 1e-10
 
 
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(kappas=st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)))
+def test_excitation_balance(kappas):
+    # H keeps N and each photon lost from mode m removes one excitation, at
+    # rate 2 kappa_m <a_m^+ a_m>, so <N>(t) - <N>(0) = -2 sum_m kappa_m
+    # int_0^t <a_m^+ a_m> dt: an oracle for the N = 1 and N = 0 blocks,
+    # which the no-jump oracle does not reach.  N and the photon numbers
+    # are read off the product basis labels, not the engine's operators.
+    # The integral is composite Simpson on the 0.01 grid (~2e-10 at
+    # kappa ~ 0.05; the Simpson error grows with kappa).
+    t = time_grid(60.0)
+    for kind in ("bimodal", "single_mode"):
+        ka, kb = kappas if kind == "bimodal" else (kappas[0], 0.0)
+        p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5,
+                        kappa_a=ka, kappa_b=kb)
+        basis = enumerate_basis(kind, damped=True)
+        photons = np.array([(s.n_a, s.n_b or 0) for s in basis.states], float)
+        populations = np.diagonal(evolve_density(kind, p, t).values,
+                                  axis1=1, axis2=2).real
+        excitations = populations @ excitation_numbers(basis)
+        loss = populations @ (photons @ [2.0 * ka, 2.0 * kb])
+        pairs = (t[2] - t[0]) / 6 * (loss[:-2:2] + 4 * loss[1::2] + loss[2::2])
+        balance = excitations[2::2] - excitations[0] + np.cumsum(pairs)
+        assert np.max(np.abs(balance)) <= 1e-8, kind
+
+
 def test_damped_run_keeps_invariants():
     t = np.linspace(0.0, 10.0, 41)
     states = evolve_density("bimodal", DAMPED_PARAMS, t)
-    for state in states:
-        state.validate()   # raises on breach
-        assert abs(np.trace(state.matrix).real - 1.0) < 1e-10
+    lindblad._check_trajectory("bimodal", states.values, t)   # raises on breach
+    assert full_check(states.values, t) is None
+    traces = np.trace(states.values, axis1=1, axis2=2)
+    assert np.max(np.abs(traces.real - 1.0)) < 1e-10
 
 
 def test_damping_lowers_two_photon_peak():
     t = np.linspace(0.0, 25.0, 126)
-    undamped = two_photon_population(
-        evolve_density("bimodal", DAMPED_PARAMS.replace(kappa_a=0.0, kappa_b=0.0), t))
-    damped = two_photon_population(evolve_density("bimodal", DAMPED_PARAMS, t))
+    undamped = evolve_population(
+        "bimodal", DAMPED_PARAMS.replace(kappa_a=0.0, kappa_b=0.0), t)
+    damped = evolve_population("bimodal", DAMPED_PARAMS, t)
     assert damped.values.max() < undamped.values.max()
 
 
 def test_everything_relaxes_to_vacuum():
     states = evolve_density("bimodal", DAMPED_PARAMS, [0.0, 500.0])
-    final = states[-1]
-    assert population_series(states, "gg,00").values[-1] > 0.999
-    assert abs(np.trace(final.matrix).real - 1.0) < 1e-8
+    final = states.values[-1]
+    vacuum = states.basis.index_of("gg,00")
+    assert final[vacuum, vacuum].real > 0.999
+    assert abs(np.trace(final).real - 1.0) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -247,35 +311,37 @@ def test_coarse_substep_aborts():
     assert exc.value.invariant.startswith("density-matrix")
 
 
-def test_validate_flags_bad_matrices():
-    basis = enumerate_basis("single_mode", damped=True)
-    eye = np.eye(basis.dim, dtype=complex)
+def check_one(matrix: np.ndarray) -> None:
+    """Check one single-mode matrix as the engine checks a point."""
+    lindblad._check_trajectory("single_mode", matrix[np.newaxis],
+                               np.array([0.0]))
 
-    bad_trace = DensityMatrix(basis=basis, matrix=eye.copy(), time=0.0)
+
+def test_validate_flags_bad_matrices():
+    eye = np.eye(8, dtype=complex)
+
     with pytest.raises(NumericalInvariantError) as exc:
-        bad_trace.validate()
+        check_one(eye)
     assert exc.value.invariant == "density-matrix trace"
 
     skew = np.zeros_like(eye)
     skew[0, 0] = 1.0
-    skew[0, 1] = 1e-3
+    skew[0, 1] = 1e-3              # ee,0 and eg,1: both N = 2
     with pytest.raises(NumericalInvariantError) as exc:
-        DensityMatrix(basis=basis, matrix=skew, time=0.0).validate()
+        check_one(skew)
     assert exc.value.invariant == "density-matrix Hermiticity"
 
     negative = np.zeros_like(eye)
     negative[0, 0] = 1.01
     negative[1, 1] = -0.01
     with pytest.raises(NumericalInvariantError) as exc:
-        DensityMatrix(basis=basis, matrix=negative, time=0.0).validate()
+        check_one(negative)
     assert exc.value.invariant == "density-matrix positivity"
 
 
 def test_validate_flags_nan_matrix():
-    basis = enumerate_basis("single_mode", damped=True)
-    nan = np.full((basis.dim, basis.dim), np.nan, dtype=complex)
     with pytest.raises(NumericalInvariantError) as exc:
-        DensityMatrix(basis=basis, matrix=nan, time=0.0).validate()
+        check_one(np.full((8, 8), np.nan, dtype=complex))
     assert exc.value.invariant == "density-matrix trace"
 
 
@@ -288,7 +354,7 @@ def test_batched_checks_keep_first_breach_order(defects, invariant, index):
     # 1200 points span three check batches; the first breach in time order
     # must raise, whichever batch it lies in and whatever follows it
     rng = np.random.default_rng(3)
-    rhos = np.array([random_density(8, rng) for _ in range(1200)])
+    rhos = np.array([sector_density("single_mode", rng) for _ in range(1200)])
     for i, kind in defects.items():
         if kind == "hermiticity":
             rhos[i, 0, 1] += 1e-3
@@ -298,24 +364,12 @@ def test_batched_checks_keep_first_breach_order(defects, invariant, index):
             rhos[i] = np.diag([1.01, -0.01, 0, 0, 0, 0, 0, 0])
     t = np.linspace(0.0, 12.0, 1200)
     if invariant is None:
-        lindblad._check_trajectory(rhos, t)
+        lindblad._check_trajectory("single_mode", rhos, t)
         return
     with pytest.raises(NumericalInvariantError) as exc:
-        lindblad._check_trajectory(rhos, t)
+        lindblad._check_trajectory("single_mode", rhos, t)
     assert exc.value.invariant == invariant
     assert exc.value.time == t[index]
-
-
-def block_diagonal_stack(nt: int, rng: np.random.Generator) -> np.ndarray:
-    """Random bimodal dN = 0 states: N blocks of 8/4/1, off-block zeros."""
-    n = excitation_numbers(enumerate_basis("bimodal", damped=True))
-    rhos = np.zeros((nt, 13, 13), dtype=complex)
-    for point in rhos:
-        weights = rng.dirichlet(np.ones(3))
-        for w, k in zip(weights, (2, 1, 0)):
-            b = np.flatnonzero(n == k)
-            point[np.ix_(b, b)] = w * random_density(len(b), rng)
-    return rhos
 
 
 @pytest.mark.parametrize("breach,invariant", [
@@ -327,11 +381,12 @@ def block_diagonal_stack(nt: int, rng: np.random.Generator) -> np.ndarray:
     ("nan", "Hermiticity"),
 ])
 def test_pattern_check_matches_full_check(breach, invariant):
-    # the blockwise check on the dN = 0 pattern reports what the full d x d
-    # check reports: the same invariant, time and defect
+    # the check on the N blocks reports what a check of the whole d x d
+    # matrices reports: the same invariant, time and defect
     n = excitation_numbers(enumerate_basis("bimodal", damped=True))
     top, vacuum = np.flatnonzero(n == 2), np.flatnonzero(n == 0)[0]
-    rhos = block_diagonal_stack(1200, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    rhos = np.array([sector_density("bimodal", rng) for _ in range(1200)])
     i = 700
     if breach == "trace":
         rhos[i] *= 1.01
@@ -347,52 +402,20 @@ def test_pattern_check_matches_full_check(breach, invariant):
     elif breach == "nan":
         rhos[i, top[2], top[5]] = np.nan
     t = np.linspace(0.0, 12.0, 1200)
-    support = sectors("bimodal") == 0
     if breach is None:
-        lindblad._check_trajectory(rhos, t, support)
-        lindblad._check_trajectory(rhos, t)
+        lindblad._check_trajectory("bimodal", rhos, t)
+        assert full_check(rhos, t) is None
         return
-    raised = []
-    for args in [(support,), ()]:
-        with pytest.raises(NumericalInvariantError) as exc:
-            lindblad._check_trajectory(rhos, t, *args)
-        raised.append(exc.value)
-    pattern, full = raised
-    assert pattern.invariant == full.invariant == f"density-matrix {invariant}"
-    assert pattern.time == full.time == t[i]
-    if invariant == "positivity":
-        assert pattern.defect == pytest.approx(full.defect, abs=1e-12)
-    else:
-        np.testing.assert_equal(pattern.defect, full.defect)
-
-
-def test_pattern_blocks_close_over_transpose():
-    # support 0 -> 2 <- 1 only: its blocks must join {0, 1, 2}, whose
-    # 2 x 2 principal parts are all positive while the whole is not
-    rho = np.array([[0.25, 0.0, 0.1 ** 0.5],
-                    [0.0, 0.25, 0.1 ** 0.5],
-                    [0.1 ** 0.5, 0.1 ** 0.5, 0.5]], dtype=complex)
-    support = np.zeros((3, 3), dtype=bool)
-    support[[0, 1], 2] = True
     with pytest.raises(NumericalInvariantError) as exc:
-        lindblad._check_trajectory(rho[np.newaxis], np.array([0.0]),
-                                   support.ravel())
-    assert exc.value.invariant == "density-matrix positivity"
-    assert exc.value.defect == pytest.approx(np.linalg.eigvalsh(rho)[0])
+        lindblad._check_trajectory("bimodal", rhos, t)
+    assert exc.value.invariant == f"density-matrix {invariant}"
+    assert exc.value.time == t[i]
+    assert_raised_as_full_check(exc.value, rhos, t)
 
 
 # ---------------------------------------------------------------------------
 # sector layout: populations and checks read from the propagated columns
 # ---------------------------------------------------------------------------
-
-def superposed_initial(kind: str) -> np.ndarray:
-    """Pure ee,0(0) + i eg,0(0): N = 2 and N = 1, so dN in {-1, 0, 1}."""
-    basis = enumerate_basis(kind, damped=True)
-    psi = np.zeros(basis.dim, dtype=complex)
-    psi[basis.initial_index] = 0.6 ** 0.5
-    psi[basis.index_of("eg,00" if kind == "bimodal" else "eg,0")] = 1j * 0.4 ** 0.5
-    return np.outer(psi, psi.conj())
-
 
 @pytest.mark.parametrize("kind", ["bimodal", "single_mode"])
 @pytest.mark.parametrize("kappa", [0.0, 0.03, 0.1])
@@ -402,8 +425,9 @@ def test_population_matches_density_readout(monkeypatch, kind, kappa,
     p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.55, kappa_a=kappa,
                     kappa_b=kappa if kind == "bimodal" else 0.0)
     t = np.linspace(0.0, 2.0, 21)
-    initial = superposed_initial(kind) if superposed else None
-    built = {}          # one generator build per sector: the readout is tested
+    initial = (sector_density(kind, np.random.default_rng(17)) if superposed
+               else None)
+    built = {}          # one generator build: the readout is tested
     original = lindblad._generator
 
     def memo(kind, params, dim, idx):
@@ -414,12 +438,12 @@ def test_population_matches_density_readout(monkeypatch, kind, kappa,
 
     monkeypatch.setattr(lindblad, "_generator", memo)
     states = evolve_density(kind, p, t, initial=initial)
-    for label in (None, *states.basis.labels()):
+    basis = states.basis
+    for label in (None, *basis.labels()):
         series = evolve_population(kind, p, t, label, initial=initial)
-        expected = (two_photon_population(states) if label is None
-                    else population_series(states, label))
-        assert np.array_equal(series.times, expected.times)
-        assert np.array_equal(series.values, expected.values)
+        i = basis.two_photon_index if label is None else basis.index_of(label)
+        assert np.array_equal(series.times, t)
+        assert np.array_equal(series.values, states.values[:, i, i].real)
 
 
 def test_population_refuses_unknown_label_before_evolving(monkeypatch):
@@ -472,16 +496,15 @@ def test_sector_checks_match_expanded_stack(monkeypatch, breach, invariant):
     idx = np.flatnonzero(sectors("bimodal") == 0)
     captured = []
 
-    def corrupt(generator, t_grid, y0, substep=None, out=None):
+    def corrupt(generator, t_grid, y0, substep=None):
         blocks = []
         captured.append(blocks)
-        for block in integrate.propagate_blocks(generator, t_grid, y0,
-                                                substep, out):
-            start = sum(map(len, blocks))
+        for start, block in integrate.propagate_blocks(generator, t_grid, y0,
+                                                       substep):
             if start <= i < start + len(block):
                 damage(breach, block[i - start])
             blocks.append(block.copy())
-            yield block
+            yield start, block
 
     monkeypatch.setattr(lindblad, "propagate_blocks", corrupt)
     t = time_grid(10.0)
@@ -493,21 +516,17 @@ def test_sector_checks_match_expanded_stack(monkeypatch, breach, invariant):
     sector = np.concatenate(captured[0])    # up to the breach's block
     stack = np.zeros((t.size, d * d), dtype=complex)
     stack[:len(sector), idx] = sector
-    for support in (sectors("bimodal") == 0, None):
-        with pytest.raises(NumericalInvariantError) as exc:
-            lindblad._check_trajectory(stack.reshape(-1, d, d), t, support)
-        raised.append(exc.value)
+    stack = stack.reshape(-1, d, d)
+    with pytest.raises(NumericalInvariantError) as exc:
+        lindblad._check_trajectory("bimodal", stack, t)
+    raised.append(exc.value)
     first = raised[0]
     assert first.invariant == f"density-matrix {invariant}"
     for other in raised[1:]:
         assert other.invariant == first.invariant
         assert other.time == first.time == t[i]
-    for other in raised[1:3]:
         np.testing.assert_equal(other.defect, first.defect)
-    if breach.startswith("positivity"):
-        assert raised[3].defect == pytest.approx(first.defect, abs=1e-12)
-    else:
-        np.testing.assert_equal(raised[3].defect, first.defect)
+    assert_raised_as_full_check(first, stack[:len(sector)], t)
 
 
 def test_bad_initial_shape_rejected():
@@ -515,41 +534,55 @@ def test_bad_initial_shape_rejected():
         evolve_density("bimodal", DAMPED_PARAMS, [0.0, 1.0], initial=np.eye(6))
 
 
+@pytest.mark.parametrize("kind", ["bimodal", "single_mode"])
+def test_cross_n_initial_rejected_before_evolving(monkeypatch, kind):
+    # a coherence between N = 2 and N = 1 lies outside the dN = 0 sector
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolved before checking the initial state")
+
+    monkeypatch.setattr(lindblad, "propagate_blocks", no_evolution)
+    monkeypatch.setattr(lindblad, "_generator", no_evolution)
+    basis = enumerate_basis(kind, damped=True)
+    psi = np.zeros(basis.dim, dtype=complex)
+    psi[basis.initial_index] = 0.6 ** 0.5
+    psi[basis.index_of("eg,00" if kind == "bimodal" else "eg,0")] = 1j * 0.4 ** 0.5
+    for evolve in (evolve_density, evolve_population):
+        with pytest.raises(ConfigurationError, match="excitation numbers"):
+            evolve(kind, ModelParams(kappa_a=0.1), [0.0, 1.0],
+                   initial=np.outer(psi, psi.conj()))
+
+
 def test_initial_accepts_density_matrix_snapshot():
     t = np.linspace(0.0, 2.0, 11)
     first = evolve_density("bimodal", DAMPED_PARAMS, t)
-    resumed = evolve_density("bimodal", DAMPED_PARAMS, [2.0, 4.0], initial=first[-1])
+    resumed = evolve_density("bimodal", DAMPED_PARAMS, [2.0, 4.0],
+                             initial=first.values[-1])
     direct = evolve_density("bimodal", DAMPED_PARAMS, np.linspace(0.0, 4.0, 21))
-    assert np.max(np.abs(resumed[-1].matrix - direct[-1].matrix)) < 1e-10
+    assert np.max(np.abs(resumed.values[-1] - direct.values[-1])) < 1e-10
 
 
 # ---------------------------------------------------------------------------
-# series helpers
+# population reader
 # ---------------------------------------------------------------------------
 
 def test_population_series_labels_and_grid():
     t = np.linspace(0.0, 5.0, 26)
     states = evolve_density("bimodal", DAMPED_PARAMS, t)
-    series = population_series(states, "ee,00")
+    series = evolve_population("bimodal", DAMPED_PARAMS, t, "ee,00")
     assert np.array_equal(series.times, t)
     assert series.values[0] == 1.0
-    two = two_photon_population(states)
-    idx = states[0].basis.index_of("gg,11")
-    assert two.values[-1] == states[-1].matrix[idx, idx].real
+    two = evolve_population("bimodal", DAMPED_PARAMS, t)
+    idx = states.basis.index_of("gg,11")
+    assert two.values[-1] == states.values[-1, idx, idx].real
 
 
 def test_population_unknown_label():
-    states = evolve_density("single_mode",
-                            ModelParams(g2=2.0, delta_cap=-5.0,
-                                        delta_small=2.75, kappa_a=0.03),
-                            [0.0, 1.0])
+    # gg,11 is a bimodal label, not a single-mode one
     with pytest.raises(ConfigurationError):
-        population_series(states, "gg,11")
-
-
-def test_empty_trajectory_rejected():
-    with pytest.raises(ConfigurationError):
-        population_series([], "ee,00")
+        evolve_population("single_mode",
+                          ModelParams(g2=2.0, delta_cap=-5.0, delta_small=2.75,
+                                      kappa_a=0.03),
+                          [0.0, 1.0], "gg,11")
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +592,11 @@ def test_empty_trajectory_rejected():
 @pytest.mark.parametrize("kind", ["bimodal", "single_mode"])
 @pytest.mark.parametrize("kappa", [0.0, 0.1])
 def test_blocked_runs_equal_one_block(monkeypatch, kind, kappa):
-    # dN in {-1, 0, 1}: three sectors share each working block; 21 points
-    # leave a partial or one-row last block at every BLOCK below
+    # a random dN = 0 state fills all three N blocks; 21 points leave a
+    # partial or one-row last block at every BLOCK below
     p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.55, kappa_a=kappa,
                     kappa_b=kappa if kind == "bimodal" else 0.0)
-    t, initial = time_grid(0.2), superposed_initial(kind)
+    t, initial = time_grid(0.2), sector_density(kind, np.random.default_rng(23))
     runs = []
     for block in (1 << 30, 2, 4, 8):
         monkeypatch.setattr(integrate, "BLOCK", block)
@@ -583,14 +616,12 @@ def test_blocked_runs_equal_one_block(monkeypatch, kind, kappa):
 def test_breach_in_third_block_matches_one_block(monkeypatch, breach, invariant):
     # row 9 lies in the third block of 4: the blocked run raises the
     # unblocked run's invariant, time and defect
-    def corrupt(generator, t_grid, y0, substep=None, out=None):
-        start = 0
-        for block in integrate.propagate_blocks(generator, t_grid, y0,
-                                                substep, out):
+    def corrupt(generator, t_grid, y0, substep=None):
+        for start, block in integrate.propagate_blocks(generator, t_grid, y0,
+                                                       substep):
             if start <= 9 < start + len(block):
                 damage(breach, block[9 - start])
-            start += len(block)
-            yield block
+            yield start, block
 
     monkeypatch.setattr(lindblad, "propagate_blocks", corrupt)
     t = time_grid(0.2)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twophoton import (ModelParams, SystemKind, build_hamiltonian,
-                       build_jump_operators, embed_unitary_sector,
-                       enumerate_basis, excitation_numbers, spectrum_lines)
+                       embed_unitary_sector, enumerate_basis,
+                       excitation_numbers, spectrum_lines)
+from twophoton.operators import damped_operators
 
 SQRT2 = np.sqrt(2.0)
 
@@ -92,7 +93,7 @@ def test_embedding_reproduces_unitary_hamiltonian():
 
 def test_jump_operators_lower_one_photon():
     for kind, n_jumps in ((SystemKind.BIMODAL, 2), (SystemKind.SINGLE_MODE, 1)):
-        jumps = build_jump_operators(kind)
+        jumps = damped_operators(kind, ModelParams())[1]
         assert len(jumps) == n_jumps
         basis = enumerate_basis(kind, damped=True)
         n = excitation_numbers(basis)
@@ -102,7 +103,7 @@ def test_jump_operators_lower_one_photon():
 
 
 def test_bimodal_jump_matrix_elements():
-    jumps = build_jump_operators("bimodal")
+    jumps = damped_operators("bimodal", ModelParams())[1]
     basis = enumerate_basis("bimodal", damped=True)
     a = jumps[0]
     # annihilating mode a: gg,20 -> gg,10 carries sqrt(2)
