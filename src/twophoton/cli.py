@@ -141,10 +141,13 @@ def _write_text(path: Path, text: str) -> None:
 def _number(value, what: str, ndim: int = 0):
     """``value`` as a finite float (``ndim`` 0) or 1-D float array (``ndim`` 1).
 
-    Anything else raises ``ConfigurationError`` with a one-line message.
+    Anything else, a JSON ``true``/``false`` included, raises
+    ``ConfigurationError`` with a one-line message.
     """
+    items = value if isinstance(value, list) else [value]
     try:
-        array = np.asarray(value, dtype=float)
+        array = (None if any(isinstance(v, bool) for v in items)
+                 else np.asarray(value, dtype=float))
     except (TypeError, ValueError):
         array = None
     if array is None or array.ndim != ndim or not np.all(np.isfinite(array)):
@@ -297,15 +300,14 @@ def _cmd_evolve(args) -> int:
     horizon = _resolve_number(args, cfg, "horizon")
     if horizon is None:
         horizon = default_horizon(kind, params)
-    substep = _resolve_number(args, cfg, "substep")
     outdir = _resolve_outdir(args)
 
     grid = _time_grid(args, horizon)
-    series = evolve_probability(kind, params, grid, substep=substep)
+    series = evolve_probability(kind, params, grid)
     out = outdir / "evolve.csv"
     _write_series_csv(out, _series_template(series.times), series.values)
     _write_manifest(outdir, "evolve", kind, params, [out.name],
-                    horizon=horizon, substep=substep)
+                    horizon=horizon)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -315,18 +317,17 @@ def _cmd_master(args) -> int:
     kind = _resolve_kind(args, cfg)
     params = _resolve_params(args, cfg)
     horizon = _resolve_number(args, cfg, "horizon", DEFAULT_HORIZON)
-    substep = _resolve_number(args, cfg, "substep")
     state = _resolve_scalar(args, cfg, "state")
     if state is not None:           # refuse an unknown label before evolving
         enumerate_basis(kind, damped=True).index_of(state)
     outdir = _resolve_outdir(args)
 
     grid = _time_grid(args, horizon)
-    series = evolve_population(kind, params, grid, state, substep=substep)
+    series = evolve_population(kind, params, grid, state)
     out = outdir / "master.csv"
     _write_series_csv(out, _series_template(series.times), series.values)
     _write_manifest(outdir, "master", kind, params, [out.name],
-                    horizon=horizon, substep=substep,
+                    horizon=horizon,
                     observable=(f"population:{state}" if state is not None
                                 else "two_photon_population"))
     print(f"wrote {out}")
@@ -358,7 +359,6 @@ def _cmd_scan(args) -> int:
     params = _resolve_params(args, cfg)
     axis = _resolve_scalar(args, cfg, "axis", "delta_small")
     horizon = _resolve_number(args, cfg, "horizon", DEFAULT_HORIZON)
-    substep = _resolve_number(args, cfg, "substep")
     outdir = _resolve_outdir(args)
 
     _time_grid(args, horizon)
@@ -369,15 +369,14 @@ def _cmd_scan(args) -> int:
         else:
             kappas = _number(kappas.split(",") if isinstance(kappas, str)
                              else kappas, "kappas", ndim=1)
-        result = damping_sweep(kind, params, kappas=kappas,
-                               horizon=horizon, substep=substep)
+        result = damping_sweep(kind, params, kappas=kappas, horizon=horizon)
         prefix = "master_kappa"
         summary_name = "damping_summary.csv"
     else:
         values = _resolve_axis_values(args, cfg)
         spec = SweepSpec(kind=kind, params=params, axis=axis,
                          values=tuple(values), horizon=horizon)
-        result = scan_two_photon(spec, substep=substep)
+        result = scan_two_photon(spec)
         prefix = f"scan_{axis}"
         summary_name = "scan_summary.csv"
 
@@ -417,11 +416,10 @@ def _cmd_resonance(args) -> int:
     lo, hi = bounds.tolist()
     scan_step = _resolve_number(args, cfg, "scan_step", 0.05)
     horizon = _resolve_number(args, cfg, "horizon")
-    substep = _resolve_number(args, cfg, "substep")
     outdir = _resolve_outdir(args)
 
     report = resonance_report(kind, params, (lo, hi), scan_step=scan_step,
-                              horizon=horizon, substep=substep)
+                              horizon=horizon)
     payload = {
         "kind": kind.value,
         "interval": [lo, hi],
@@ -492,8 +490,8 @@ def _add_common(sub: argparse.ArgumentParser, evolves: bool = True) -> None:
     sub.add_argument("--out", help=f"output directory (default ${OUTDIR_ENV} or .)")
     for key in PARAM_FIELDS:
         sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    for key in ("horizon", "substep") if evolves else ():
-        sub.add_argument(f"--{key}", type=float)
+    if evolves:
+        sub.add_argument("--horizon", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,9 +8,8 @@ executed in any order or in parallel; the implementation simply loops.
 Peak detection is the raw grid maximum on a fixed output grid with step
 0.01/g1; no interpolation, so results are deterministic and insensitive to
 optimizer quirks.  All headline values carry enough provenance (grid step,
-engine version, and the caller's integrator substep: null when the
-integrator cut each interval by the generator's norm) to be reproduced
-exactly.
+horizon and engine version) to be reproduced exactly: the integrator cuts
+each output interval by the generator's norm and has no setting of its own.
 """
 
 from __future__ import annotations
@@ -45,7 +44,12 @@ def engine_version() -> str:
 
 
 def time_grid(horizon: float, step: float = PEAK_GRID_STEP) -> np.ndarray:
-    """Uniform output grid [0, horizon] with the standard peak-detection step.
+    """Uniform output grid 0, step, ..., n*step with the standard
+    peak-detection step and n = round(horizon/step).
+
+    The grid ends at the step multiple nearest the horizon, so it may end
+    up to half a step past it: ``time_grid(25.006)`` ends at 25.01 and
+    ``time_grid(0.006)`` is [0, 0.01].
 
     The grid may hold at most ``MAX_GRID_POINTS`` points; a longer horizon
     is a configuration error, raised before anything is allocated.
@@ -156,13 +160,13 @@ class SweepResult:
         return max(self.rows, key=lambda r: r.peak_value)
 
 
-def scan_two_photon(spec: SweepSpec, substep: float | None = None) -> SweepResult:
+def scan_two_photon(spec: SweepSpec) -> SweepResult:
     """Coherent-sector sweep of the two-photon probability along one axis."""
     grid = time_grid(spec.horizon)
     rows = []
     for value in spec.values:
         params = spec.params.replace(**{spec.axis: value})
-        series = evolve_probability(spec.kind, params, grid, substep=substep)
+        series = evolve_probability(spec.kind, params, grid)
         peak_value, peak_time = _peak(series)
         rows.append(SweepRow(axis_value=value, series=series,
                              peak_value=peak_value, peak_time=peak_time))
@@ -172,7 +176,6 @@ def scan_two_photon(spec: SweepSpec, substep: float | None = None) -> SweepResul
         "observable": "two_photon",
         "grid_step": PEAK_GRID_STEP,
         "horizon": spec.horizon,
-        "substep": substep,
     }
     return SweepResult(spec=spec, rows=tuple(rows), provenance=provenance)
 
@@ -193,8 +196,7 @@ class EnvelopeComparison:
 
 
 def envelope_compare(kind: SystemKind | str, params: ModelParams,
-                     horizon: float | None = None,
-                     substep: float | None = None) -> EnvelopeComparison:
+                     horizon: float | None = None) -> EnvelopeComparison:
     """Compare exact two-photon dynamics with the closed-form envelope.
 
     Advisory: the envelope is a dispersive approximation, trusted when
@@ -212,7 +214,7 @@ def envelope_compare(kind: SystemKind | str, params: ModelParams,
             "is used outside its dispersive validity domain",
             UserWarning, stacklevel=2)
     grid = time_grid(horizon)
-    series = evolve_probability(kind, params, grid, substep=substep)
+    series = evolve_probability(kind, params, grid)
     envelope = closed_form_probability(kind, params, grid)
     peak_exact, t_exact = _peak(series)
     i = int(np.argmax(envelope))
@@ -235,8 +237,7 @@ def _default_damping_params(kind: SystemKind) -> ModelParams:
 def damping_sweep(kind: SystemKind | str = SystemKind.BIMODAL,
                   params: ModelParams | None = None,
                   kappas=(0.0, 0.03, 0.1),
-                  horizon: float = LATE_WINDOW[1],
-                  substep: float | None = None) -> SweepResult:
+                  horizon: float = LATE_WINDOW[1]) -> SweepResult:
     """Two-photon population under increasing cavity damping.
 
     For each kappa both modes are damped equally (the single-mode system
@@ -266,7 +267,7 @@ def damping_sweep(kind: SystemKind | str = SystemKind.BIMODAL,
             run = params.replace(kappa_a=kappa, kappa_b=kappa)
         else:
             run = params.replace(kappa_a=kappa, kappa_b=0.0)
-        series = evolve_population(kind, run, grid, substep=substep)
+        series = evolve_population(kind, run, grid)
         peak_value, peak_time = _peak(series)
         first_peak = float(np.max(series.values[first_mask]))
         late_peak = float(np.max(series.values[late_mask]))
@@ -283,7 +284,6 @@ def damping_sweep(kind: SystemKind | str = SystemKind.BIMODAL,
         "observable": "two_photon_population",
         "grid_step": PEAK_GRID_STEP,
         "horizon": horizon,
-        "substep": substep,
         "first_window": FIRST_WINDOW,
         "late_window": (LATE_WINDOW[0], min(LATE_WINDOW[1], horizon)),
         "params": {"g1": params.g1, "g2": params.g2,
@@ -318,8 +318,7 @@ class ResonanceReport:
 def resonance_report(kind: SystemKind | str, params: ModelParams,
                      interval: tuple[float, float],
                      scan_step: float = 0.05,
-                     horizon: float | None = None,
-                     substep: float | None = None) -> ResonanceReport:
+                     horizon: float | None = None) -> ResonanceReport:
     """Locate the two-photon resonance on an interval, three ways.
 
     The exact location is the argmax of a detuning scan (grid ``scan_step``)
@@ -348,7 +347,7 @@ def resonance_report(kind: SystemKind | str, params: ModelParams,
 
     spec = SweepSpec(kind=kind, params=params, axis="delta_small",
                      values=tuple(axis_grid(lo, hi, scan_step)), horizon=horizon)
-    scan = scan_two_photon(spec, substep=substep)
+    scan = scan_two_photon(spec)
     best = scan.argmax_row()
 
     return ResonanceReport(

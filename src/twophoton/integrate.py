@@ -50,12 +50,11 @@ UNIFORM_TOLERANCE = 1e-9
 BLOCK = 2 ** 15
 
 
-def taylor_propagator(a: np.ndarray, h: float,
-                      order: int = ORDER) -> np.ndarray:
-    """T_order(h*a): the degree-``order`` Taylor polynomial of expm(h*a)."""
+def taylor_propagator(a: np.ndarray, h: float) -> np.ndarray:
+    """T18(h*a): the degree-``ORDER`` Taylor polynomial of expm(h*a)."""
     out = np.eye(a.shape[0], dtype=a.dtype)
     term = out
-    for k in range(1, order + 1):
+    for k in range(1, ORDER + 1):
         term = term @ (h / k * a)
         out = out + term
     return out
@@ -70,29 +69,28 @@ def validate_grid(t_grid: np.ndarray) -> np.ndarray:
     return t
 
 
-def propagate_grid(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
-                   substep: float | None = None) -> np.ndarray:
+def propagate_grid(generator: np.ndarray, t_grid: np.ndarray,
+                   y0: np.ndarray) -> np.ndarray:
     """The (len(t_grid), dim) array of states: the blocks of
     :func:`propagate_blocks`, each copied to its own rows."""
     t = validate_grid(t_grid)
     out = np.empty((t.size, np.size(y0)), dtype=complex)
-    for start, block in propagate_blocks(generator, t, y0, substep):
+    for start, block in propagate_blocks(generator, t, y0):
         out[start:start + len(block)] = block
     return out
 
 
-def propagate_blocks(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
-                     substep: float | None = None):
+def propagate_blocks(generator: np.ndarray, t_grid: np.ndarray,
+                     y0: np.ndarray):
     """Integrate y' = generator @ y over an output grid, yielding
     ``(start, block)``: the states at t_grid[start:start + len(block)], in
     consecutive blocks of at most ``BLOCK`` rows.
 
     ``y0`` is the state at ``t_grid[0]``.  An output interval dt is split
     into n equal sub-intervals, each one degree-18 Taylor step; its
-    propagator is that step matrix raised to the n-th power.  By default
+    propagator is that step matrix raised to the n-th power, with
     n = max(1, ceil(||generator||_1 * dt / THETA)), which makes the
-    propagator exact to rounding; an explicit ``substep`` sets
-    n = ceil(dt/substep) instead.
+    propagator exact to rounding.
 
     The grid is uniform when every point lies within
     ``UNIFORM_TOLERANCE * step`` of ``t[0] + k*step``, where ``step`` is the
@@ -121,9 +119,6 @@ def propagate_blocks(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
     generator is too large for the integrator).
     """
     t = validate_grid(t_grid)
-    if substep is not None and substep <= 0:
-        raise ConfigurationError(f"substep must be positive, got {substep}")
-
     y = np.array(y0, dtype=complex)
     nt, size = t.size, BLOCK
     out = np.empty((min(nt, 2 * size), y.size), dtype=complex)
@@ -137,7 +132,7 @@ def propagate_blocks(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
     drift = np.max(np.abs(t - (t[0] + step * np.arange(nt))))
     if drift <= UNIFORM_TOLERANCE * step:
         power = _fill_by_doubling(
-            _interval_propagator(generator, step, substep), head)
+            _interval_propagator(generator, step), head)
         yield 0, head
         if nt <= size:
             return
@@ -161,8 +156,7 @@ def propagate_blocks(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
     dt = np.diff(t)
     _, first, group = np.unique(np.round(dt, 12), return_index=True,
                                 return_inverse=True)
-    propagators = [_interval_propagator(generator, dt[i], substep)
-                   for i in first]
+    propagators = [_interval_propagator(generator, dt[i]) for i in first]
     group = group.tolist()
     for start in range(0, nt, size):
         block = (later if start else head)[:nt - start]
@@ -172,29 +166,24 @@ def propagate_blocks(generator: np.ndarray, t_grid: np.ndarray, y0: np.ndarray,
         yield start, block
 
 
-def _interval_propagator(generator: np.ndarray, dt: float,
-                         substep: float | None) -> np.ndarray:
-    """T18(h*generator)^n over n sub-intervals h = dt/n: by default
-    n = max(1, ceil(||generator||_1 * dt / THETA)), else ceil(dt/substep)."""
+def _interval_propagator(generator: np.ndarray, dt: float) -> np.ndarray:
+    """T18(h*generator)^n over n sub-intervals h = dt/n,
+    n = max(1, ceil(||generator||_1 * dt / THETA))."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if substep is None:
-            norm = float(np.linalg.norm(generator, 1))
-            ratio = norm * dt / THETA
-            source = f"with generator 1-norm {norm:.3g}"
-        else:
-            ratio, source = dt / substep, f"at substep {substep:.3g}"
+        norm = float(np.linalg.norm(generator, 1))
+        ratio = norm * dt / THETA
         if not math.isfinite(ratio):
             raise ConfigurationError(
-                f"interval {dt:.6g} {source} needs too many substeps: "
-                "the parameters are too large for the integrator")
-        nsub = max(1, math.ceil(ratio))
-        p = np.linalg.matrix_power(
-            taylor_propagator(generator, dt / nsub, ORDER), nsub)
+                f"interval {dt:.6g} with generator 1-norm {norm:.3g} needs "
+                "too many sub-intervals: the parameters are too large for "
+                "the integrator")
+        n = max(1, math.ceil(ratio))
+        p = np.linalg.matrix_power(taylor_propagator(generator, dt / n), n)
     if not np.all(np.isfinite(p)):
         raise ConfigurationError(
-            f"the propagator over interval {dt:.6g} ({float(nsub):.3g} "
-            "substeps) is not finite: the parameters are too large for the "
-            "integrator")
+            f"the propagator over interval {dt:.6g} ({float(n):.3g} "
+            "sub-intervals) is not finite: the parameters are too large for "
+            "the integrator")
     return p
 
 

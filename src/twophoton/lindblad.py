@@ -198,7 +198,7 @@ def _initial_density(basis: Basis, inside: np.ndarray, initial) -> np.ndarray:
 
 
 def _evolve_sector(kind: SystemKind, params: ModelParams, t: np.ndarray,
-                   initial, substep: float | None):
+                   initial):
     """Propagate and check the dN = 0 sector of ``initial``, by blocks.
 
     Returns ``(basis, inside, cols, run)``, the first three as
@@ -212,7 +212,7 @@ def _evolve_sector(kind: SystemKind, params: ModelParams, t: np.ndarray,
     generator = _generator(kind, params, basis.dim, np.flatnonzero(inside))
 
     def checked():
-        for start, y in propagate_blocks(generator, t, y0, substep):
+        for start, y in propagate_blocks(generator, t, y0):
             _check_columns(y, t[start:start + len(y)], cols, blocks)
             yield start, y
 
@@ -220,7 +220,7 @@ def _evolve_sector(kind: SystemKind, params: ModelParams, t: np.ndarray,
 
 
 def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
-                   initial=None, substep: float | None = None) -> TimeSeries:
+                   initial=None) -> TimeSeries:
     """Integrate the master equation over an output grid.
 
     Returns the (nt, d, d) density matrices with the basis attached.
@@ -234,7 +234,7 @@ def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
     kind = SystemKind.coerce(kind)
     params.validate_for_kind(kind)
     t = validate_grid(t_grid)
-    basis, inside, _, run = _evolve_sector(kind, params, t, initial, substep)
+    basis, inside, _, run = _evolve_sector(kind, params, t, initial)
     values = np.zeros((t.size, basis.dim, basis.dim), dtype=complex)
     flat = values.reshape(t.size, -1)
     for start, y in run:
@@ -243,8 +243,8 @@ def evolve_density(kind: SystemKind | str, params: ModelParams, t_grid,
 
 
 def evolve_population(kind: SystemKind | str, params: ModelParams, t_grid,
-                      label: str | None = None, initial=None,
-                      substep: float | None = None) -> TimeSeries:
+                      label: str | None = None,
+                      initial=None) -> TimeSeries:
     """Occupation of basis state ``label`` (None: the two-photon target)
     under the master equation.
 
@@ -256,7 +256,7 @@ def evolve_population(kind: SystemKind | str, params: ModelParams, t_grid,
     basis = enumerate_basis(kind, damped=True)
     i = basis.two_photon_index if label is None else basis.index_of(label)
     t = validate_grid(t_grid)
-    _, _, cols, run = _evolve_sector(kind, params, t, initial, substep)
+    _, _, cols, run = _evolve_sector(kind, params, t, initial)
     values = np.empty(t.size)
     for start, y in run:
         values[start:start + len(y)] = y[:, cols[i, i]].real

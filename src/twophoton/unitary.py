@@ -70,13 +70,13 @@ def _initial_vector(basis: Basis, initial) -> np.ndarray:
 
 
 def _checked_blocks(kind: SystemKind, params: ModelParams, basis: Basis,
-                    t: np.ndarray, initial, substep: float | None):
+                    t: np.ndarray, initial):
     """Yield ``(start, block)`` of
     :func:`twophoton.integrate.propagate_blocks` for the amplitudes, each
     block norm-checked before it is yielded."""
     c0 = _initial_vector(basis, initial)
     h = build_hamiltonian(kind, params, damped=False)
-    for start, block in propagate_blocks(-1j * h, t, c0, substep):
+    for start, block in propagate_blocks(-1j * h, t, c0):
         f = block.view(float)                   # one pass, no conj temporary
         drift = np.abs(np.sqrt(np.einsum("ij,ij->i", f, f)) - 1.0)
         breach = ~(drift <= NORM_TOLERANCE)     # a NaN drift is a breach too
@@ -89,8 +89,7 @@ def _checked_blocks(kind: SystemKind, params: ModelParams, basis: Basis,
 
 
 def evolve_amplitudes(kind: SystemKind | str, params: ModelParams,
-                      t_grid, initial=None,
-                      substep: float | None = None) -> TimeSeries:
+                      t_grid, initial=None) -> TimeSeries:
     """Integrate the amplitude equations over an output time grid.
 
     Parameters
@@ -103,39 +102,36 @@ def evolve_amplitudes(kind: SystemKind | str, params: ModelParams,
     initial:
         Normalized amplitude vector; defaults to both atoms excited,
         cavity in vacuum.
-    substep:
-        Longest integrator sub-interval.  By default each output interval
-        is cut into sub-intervals of at most THETA/||H||_1 (THETA = 1.1),
-        each one degree-18 Taylor step, exact to rounding.
+
+    Each output interval is cut into sub-intervals of at most
+    THETA/||H||_1 (THETA = 1.1), each one degree-18 Taylor step, exact to
+    rounding.
 
     Raises
     ------
     NumericalInvariantError
         If the norm of the amplitude vector drifts from 1 by more than
-        1e-6 anywhere on the output grid (the run is then untrustworthy —
-        typically a manually chosen substep that is far too coarse).  The
-        error reports the drift and time of the first such point.
+        1e-6 anywhere on the output grid (the run is then untrustworthy).
+        The error reports the drift and time of the first such point.
     """
     kind = SystemKind.coerce(kind)
     basis = enumerate_basis(kind, damped=False)
     t = validate_grid(t_grid)
     values = np.empty((t.size, basis.dim), dtype=complex)
-    for start, block in _checked_blocks(kind, params, basis, t, initial,
-                                        substep):
+    for start, block in _checked_blocks(kind, params, basis, t, initial):
         values[start:start + len(block)] = block
     return TimeSeries(times=t, values=values, basis=basis)
 
 
 def evolve_probability(kind: SystemKind | str, params: ModelParams, t_grid,
-                       initial=None, substep: float | None = None) -> TimeSeries:
+                       initial=None) -> TimeSeries:
     """|c_target(t)|^2 of :func:`evolve_amplitudes` for the two-photon
     state: the same run and checks, keeping one column of each block."""
     kind = SystemKind.coerce(kind)
     basis = enumerate_basis(kind, damped=False)
     t = validate_grid(t_grid)
     values = np.empty(t.size)
-    for start, block in _checked_blocks(kind, params, basis, t, initial,
-                                        substep):
+    for start, block in _checked_blocks(kind, params, basis, t, initial):
         column = values[start:start + len(block)]
         np.square(np.abs(block[:, basis.two_photon_index], out=column),
                   out=column)

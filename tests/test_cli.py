@@ -64,6 +64,7 @@ def test_evolve_writes_csv_and_manifest(tmp_path):
     assert manifest["params"]["delta_small"] == 3.55
     assert manifest["outputs"] == ["evolve.csv"]
     assert manifest["horizon"] == 5.0
+    assert "substep" not in manifest
 
 
 def per_value(*columns):
@@ -122,8 +123,8 @@ def test_fill_matches_per_value_formatting(values):
 def test_scan_rows_match_per_value_formatting(tmp_path, monkeypatch, grids):
     results = []
 
-    def scan(spec, substep=None):
-        result = twophoton.scan_two_photon(spec, substep=substep)
+    def scan(spec):
+        result = twophoton.scan_two_photon(spec)
         if grids == "distinct":     # row 1 ends early; row 2 is back on the grid
             row = result.rows[1]
             short = TimeSeries(row.series.times[:-7], row.series.values[:-7])
@@ -200,11 +201,13 @@ def test_unknown_param_key_rejected(tmp_path, params):
     ("scan", {"horizon": "abc"}, []),
     ("scan", {"values": {"start": "a", "stop": 3.6, "step": 0.05}}, []),
     ("scan", {"values": [1, "x"]}, []),
-    ("scan", {"substep": "x"}, []),
     ("resonance", {"interval": 5}, []),
     ("scan", {}, ["--axis", "kappa", "--kappas", "0,x"]),
-], ids=["horizon", "values_start", "values_list", "substep", "interval",
-        "kappas"])
+    ("scan", {"horizon": True}, []),
+    ("scan", {"values": [True, 3.5]}, []),
+    ("resonance", {"interval": [3.4, 3.6], "scan_step": False}, []),
+], ids=["horizon", "values_start", "values_list", "interval", "kappas",
+        "horizon_true", "values_bool", "scan_step_false"])
 def test_non_numeric_input_exits_three(tmp_path, capsys, command, cfg, flags):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"g2": 1.5, "delta_cap": -5.0,
@@ -214,6 +217,7 @@ def test_non_numeric_input_exits_three(tmp_path, capsys, command, cfg, flags):
                  "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
+    assert " must be a " in err         # refused as a number, not downstream
     assert err.count("\n") == 1
 
 
@@ -272,6 +276,29 @@ def test_usage_errors_exit_one():
     assert main([]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main(["evolve", "--kind", "trimodal"]) == EXIT_USAGE
+
+
+def test_substep_flag_exits_one_writing_nothing(tmp_path):
+    # the integrator cuts each interval by the generator's norm; there is
+    # no --substep to set
+    out = tmp_path / "out"
+    assert main(["evolve", "--substep", "0.1", "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_config_substep_key_is_ignored(tmp_path):
+    # like "description", a leftover "substep" key changes nothing
+    runs = []
+    for extra in ({}, {"substep": 0.5}):
+        path = tmp_path / f"run{len(runs)}.json"
+        path.write_text(json.dumps({"g2": 1.5, "delta_cap": -5.0,
+                                    "horizon": 1.0, **extra}))
+        out = tmp_path / f"out{len(runs)}"
+        assert main(["evolve", "--config", str(path),
+                     "--out", str(out)]) == EXIT_OK
+        runs.append([(out / name).read_bytes()
+                     for name in ("evolve.csv", "run_manifest.json")])
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,10 @@ def test_time_grid_shape():
     assert grid[0] == 0.0
     assert grid[-1] == 25.0
     assert np.allclose(np.diff(grid), 0.01)
+    # the step count is rounded: a grid may end up to half a step past
+    # the horizon
+    assert time_grid(25.006)[-1] == 25.01
+    assert np.array_equal(time_grid(0.006), [0.0, 0.01])
 
 
 def test_time_grid_validation():
@@ -141,7 +145,7 @@ def test_scan_provenance(headline_scan):
     assert prov["axis"] == "delta_small"
     assert prov["grid_step"] == 0.01
     assert prov["horizon"] == 25.0
-    assert prov["substep"] is None
+    assert "substep" not in prov
     assert isinstance(prov["engine"], str)
 
 

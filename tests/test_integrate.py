@@ -10,13 +10,13 @@ from twophoton.integrate import propagate_grid, taylor_propagator, validate_grid
 
 
 def test_norm_scaled_substep_policy(monkeypatch):
-    # without a substep each interval is cut by the generator's 1-norm:
+    # each interval is cut by the generator's 1-norm:
     # n = max(1, ceil(||A||_1 * dt / THETA)) sub-intervals of one Taylor step
     builds = []
 
-    def counting(a, h, order=integrate.ORDER):
-        builds.append((h, order))
-        return taylor_propagator(a, h, order)
+    def counting(a, h):
+        builds.append(h)
+        return taylor_propagator(a, h)
 
     strong = ModelParams(g2=30.0, delta_cap=-5.0, delta_small=3.5)
     gen = -1j * build_hamiltonian("bimodal", strong)
@@ -24,7 +24,7 @@ def test_norm_scaled_substep_policy(monkeypatch):
     monkeypatch.setattr(integrate, "taylor_propagator", counting)
     propagate_grid(gen, [0.0, 0.1], np.ones(6))
     propagate_grid(0.01 * gen, [0.0, 0.1], np.ones(6))
-    assert n > 1 and builds == [(0.1 / n, 18), (0.1, 18)]
+    assert n > 1 and builds == [0.1 / n, 0.1]
     # and the strong coupling stays at rounding level against
     # exact diagonalization
     t = time_grid(25.0)
@@ -34,14 +34,16 @@ def test_norm_scaled_substep_policy(monkeypatch):
 
 
 def test_taylor_propagator_orders():
+    # one degree-18 step of a rotation generator is the rotation to rounding
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    p1 = taylor_propagator(a, 0.1, order=1)
-    assert np.allclose(p1, np.eye(2) + 0.1 * a)
+    c, s = math.cos(0.1), math.sin(0.1)
+    rotation = np.array([[c, s], [-s, c]])
+    assert np.max(np.abs(taylor_propagator(a, 0.1) - rotation)) < 1e-16
 
 
 def test_propagate_constant_zero_generator():
     y0 = np.array([1.0, 0.0], dtype=complex)
-    out = propagate_grid(np.zeros((2, 2)), [0.0, 1.0, 2.0], y0, substep=0.1)
+    out = propagate_grid(np.zeros((2, 2)), [0.0, 1.0, 2.0], y0)
     assert np.array_equal(out[0], y0)
     assert np.array_equal(out[-1], y0)
 
@@ -50,7 +52,7 @@ def test_propagate_matches_exponential():
     # single decaying mode: y' = -y
     gen = np.array([[-1.0]])
     t = np.linspace(0.0, 3.0, 31)
-    out = propagate_grid(gen, t, np.array([1.0 + 0j]), substep=1e-3)
+    out = propagate_grid(gen, t, np.array([1.0 + 0j]))
     assert np.max(np.abs(out[:, 0] - np.exp(-t))) < 1e-12
 
 
@@ -58,8 +60,7 @@ def test_nonuniform_grid_supported():
     # rotation generator: exact solution (cos t, -sin t)
     gen = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     t = np.array([0.0, 0.1, 0.3, 0.35, 1.0])
-    out = propagate_grid(gen, t, np.array([1.0, 0.0], dtype=complex),
-                         substep=1e-3)
+    out = propagate_grid(gen, t, np.array([1.0, 0.0], dtype=complex))
     assert out.shape == (5, 2)
     norms = np.linalg.norm(out, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
@@ -77,8 +78,10 @@ def test_doubling_matches_literal_stepping(nt):
     y = rng.normal(size=5) + 1j * rng.normal(size=5)
     h = 0.01
     t = h * np.arange(nt)
-    out = propagate_grid(gen, t, y, substep=h / 4)
-    p = np.linalg.matrix_power(taylor_propagator(gen, h / 4), 4)
+    # ||gen||_1 * h < THETA, so an interval is one Taylor step
+    assert np.linalg.norm(gen, 1) * h < integrate.THETA
+    out = propagate_grid(gen, t, y)
+    p = taylor_propagator(gen, h)
     expected = [y]
     for _ in range(nt - 1):
         expected.append(p @ expected[-1])
@@ -104,12 +107,12 @@ def drifting_grid(n: int = 2000, step: float = 0.01) -> np.ndarray:
 def test_one_propagator_per_distinct_interval(monkeypatch, t, builds):
     calls = []
 
-    def counting(a, h, order=integrate.ORDER):
+    def counting(a, h):
         calls.append(h)
-        return taylor_propagator(a, h, order)
+        return taylor_propagator(a, h)
 
     monkeypatch.setattr(integrate, "taylor_propagator", counting)
-    propagate_grid(np.zeros((1, 1)), t, np.ones(1), substep=1e-3)
+    propagate_grid(np.zeros((1, 1)), t, np.ones(1))
     assert len(calls) == builds
 
 
@@ -120,8 +123,6 @@ def test_grid_validation():
         validate_grid([0.0, 0.5, 0.5])
     with pytest.raises(ConfigurationError):
         validate_grid([[0.0, 1.0]])
-    with pytest.raises(ConfigurationError):
-        propagate_grid(np.eye(2), [0.0, 1.0], np.zeros(2), substep=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -143,16 +144,16 @@ def test_sector_path_matches_full_generator(monkeypatch, kind, dim, sector,
     initial = sector_density(kind, np.random.default_rng(5)) if coherences else None
     dims = []
 
-    def capture(generator, t_grid, y0, substep=None):
+    def capture(generator, t_grid, y0):
         dims.append(generator.shape[0])
-        return integrate.propagate_blocks(generator, t_grid, y0, substep)
+        return integrate.propagate_blocks(generator, t_grid, y0)
 
     monkeypatch.setattr(lindblad, "propagate_blocks", capture)
     states = evolve_density(kind, p, t, initial=initial)
     _, inside, _, _ = lindblad._sector(kind)
     rho0 = lindblad._initial_density(states.basis, inside, initial)
     full = integrate.propagate_grid(
-        lindblad._generator(kind, p, dim), t, rho0, substep=None)
+        lindblad._generator(kind, p, dim), t, rho0)
     assert np.max(np.abs(states.values.reshape(t.size, -1) - full)) < 1e-11
     assert dims == [sector]
 
@@ -161,9 +162,9 @@ def test_uniform_grid_builds_one_propagator(monkeypatch):
     original = integrate.taylor_propagator
     builds = []
 
-    def counting(a, h, order=integrate.ORDER):
+    def counting(a, h):
         builds.append(h)
-        return original(a, h, order)
+        return original(a, h)
 
     monkeypatch.setattr(integrate, "taylor_propagator", counting)
     evolve_density("single_mode", ModelParams(g2=2.0, delta_cap=-5.0,
@@ -305,9 +306,11 @@ def test_everything_relaxes_to_vacuum():
 # invariant monitoring
 # ---------------------------------------------------------------------------
 
-def test_coarse_substep_aborts():
+def test_coarse_substep_aborts(monkeypatch):
+    # THETA = inf takes one Taylor step over the whole interval
+    monkeypatch.setattr(integrate, "THETA", math.inf)
     with pytest.raises(NumericalInvariantError) as exc:
-        evolve_density("bimodal", DAMPED_PARAMS, [0.0, 10.0], substep=5.0)
+        evolve_density("bimodal", DAMPED_PARAMS, [0.0, 10.0])
     assert exc.value.invariant.startswith("density-matrix")
 
 
@@ -496,11 +499,10 @@ def test_sector_checks_match_expanded_stack(monkeypatch, breach, invariant):
     idx = np.flatnonzero(sectors("bimodal") == 0)
     captured = []
 
-    def corrupt(generator, t_grid, y0, substep=None):
+    def corrupt(generator, t_grid, y0):
         blocks = []
         captured.append(blocks)
-        for start, block in integrate.propagate_blocks(generator, t_grid, y0,
-                                                       substep):
+        for start, block in integrate.propagate_blocks(generator, t_grid, y0):
             if start <= i < start + len(block):
                 damage(breach, block[i - start])
             blocks.append(block.copy())
@@ -616,9 +618,8 @@ def test_blocked_runs_equal_one_block(monkeypatch, kind, kappa):
 def test_breach_in_third_block_matches_one_block(monkeypatch, breach, invariant):
     # row 9 lies in the third block of 4: the blocked run raises the
     # unblocked run's invariant, time and defect
-    def corrupt(generator, t_grid, y0, substep=None):
-        for start, block in integrate.propagate_blocks(generator, t_grid, y0,
-                                                       substep):
+    def corrupt(generator, t_grid, y0):
+        for start, block in integrate.propagate_blocks(generator, t_grid, y0):
             if start <= 9 < start + len(block):
                 damage(breach, block[9 - start])
             yield start, block

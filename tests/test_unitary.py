@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,29 +135,33 @@ def test_swap_symmetries(g, detunings, kappas):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_coarse_substep_aborts_with_diagnostics():
-    # a pathologically coarse substep blows the norm up; the engine must
-    # refuse to hand back the result
+def test_coarse_substep_aborts_with_diagnostics(monkeypatch):
+    # one Taylor step per 0.5 interval (THETA = inf) is pathologically
+    # coarse and blows the norm up; the engine must refuse to hand back the
+    # result
+    monkeypatch.setattr(integrate, "THETA", math.inf)
     with pytest.raises(NumericalInvariantError) as err:
         evolve_amplitudes("bimodal",
                           ModelParams(g2=1.5, delta_cap=-10.0, delta_small=9.5),
-                          np.linspace(0.0, 50.0, 101), substep=0.5)
+                          np.linspace(0.0, 50.0, 101))
     assert err.value.invariant == "amplitude norm"
     assert err.value.defect > 1e-6
-    assert err.value.time is not None
+    assert err.value.time == 0.5
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered",
                             "ignore:invalid value encountered")
-def test_norm_guard_rejects_nan_amplitudes():
-    # the substep is so coarse that the amplitudes overflow to NaN; a NaN
-    # drift must count as a breach, not slip past a ``>`` comparison
+def test_norm_guard_rejects_nan_amplitudes(monkeypatch):
+    # one Taylor step per 10.0 interval (THETA = inf) is so coarse that the
+    # amplitudes overflow to NaN; a NaN drift must count as a breach, not
+    # slip past a ``>`` comparison
+    monkeypatch.setattr(integrate, "THETA", math.inf)
     with pytest.raises(NumericalInvariantError) as err:
         evolve_amplitudes("bimodal",
                           ModelParams(g2=1.5, delta_cap=-10.0, delta_small=9.5),
-                          np.arange(0.0, 2000.0, 10.0), substep=10.0)
+                          np.arange(0.0, 2000.0, 10.0))
     assert err.value.invariant == "amplitude norm"
-    # the drift is already ~2e6 at the first step; report that, not the
+    # the drift is already ~1e24 at the first step; report that, not the
     # first NaN further down the grid
     assert err.value.time == 10.0
 
@@ -203,9 +209,8 @@ def test_blocked_amplitudes_equal_one_block(monkeypatch, kind, params):
 
 
 def test_norm_breach_in_third_block_matches_one_block(monkeypatch):
-    def stretch(generator, t_grid, y0, substep=None):
-        for start, block in integrate.propagate_blocks(generator, t_grid, y0,
-                                                       substep):
+    def stretch(generator, t_grid, y0):
+        for start, block in integrate.propagate_blocks(generator, t_grid, y0):
             if start <= 9 < start + len(block):
                 block[9 - start] *= 1.01
             yield start, block
