@@ -9,11 +9,10 @@ under cavity photon loss, plus reference experiments and a CLI
 """
 
 from .basis import Basis, BasisState, enumerate_basis
-from .effective import (CONSISTENT, LITERAL, POLYNOMIAL, RESUMMED,
-                        EffectiveTwoLevel, ResolventTerms, ResonanceResult,
+from .effective import (POLYNOMIAL, RESUMMED, ResonanceResult,
                         closed_form_probability, effective_g_omega,
                         effective_hamiltonian, interference_amplitude,
-                        perturbative_probability, reduced_rhs,
+                        perturbative_probability,
                         resolvent_effective_hamiltonian, resonance_detuning,
                         stark_shift_condition)
 from .errors import (ConfigurationError, NoRootInInterval,
@@ -40,10 +39,9 @@ def __getattr__(name: str):
 
 __all__ = [
     "Basis", "BasisState", "enumerate_basis",
-    "CONSISTENT", "LITERAL", "POLYNOMIAL", "RESUMMED",
-    "EffectiveTwoLevel", "ResolventTerms", "ResonanceResult",
+    "POLYNOMIAL", "RESUMMED", "ResonanceResult",
     "closed_form_probability", "effective_g_omega", "effective_hamiltonian",
-    "interference_amplitude", "perturbative_probability", "reduced_rhs",
+    "interference_amplitude", "perturbative_probability",
     "resolvent_effective_hamiltonian", "resonance_detuning",
     "stark_shift_condition",
     "ConfigurationError", "NoRootInInterval", "NumericalInvariantError",

@@ -164,8 +164,13 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigurationError(
+            f"config file {path} cannot be read: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigurationError(f"config file {path} is nested too deeply") from None
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
     return cfg
@@ -210,7 +215,11 @@ def _resolve_number(args, cfg: dict, key: str, default=None) -> float | None:
 def _resolve_outdir(args) -> Path:
     out = getattr(args, "out", None) or os.environ.get(OUTDIR_ENV) or "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"output directory {path} cannot be created: {exc.strerror}") from None
     return path
 
 

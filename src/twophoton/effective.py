@@ -16,8 +16,8 @@ detuning between the dressed levels; the two-photon resonance sits at
 Omega = 0, *shifted* from the bare condition delta_cap + delta_small = 0
 by the one-photon Stark shifts.
 
-The matrix entries (h_ii, -G, h_ff) are written once per system, form and
-variant, in the tabulations behind ``effective_hamiltonian``:
+The matrix entries (h_ii, -G, h_ff) are written once per system and form,
+in the tabulations behind ``effective_hamiltonian``:
 
 ``form="resummed"``
     The closed-form matrix with resummed denominators (valid to fourth
@@ -26,21 +26,16 @@ variant, in the tabulations behind ``effective_hamiltonian``:
 ``form="polynomial"``
     The explicit fourth-order polynomial expansion (bimodal only).
 
-Everything else is derived from those entries: ``reduced_rhs`` is
--i H_eff c, and ``effective_g_omega`` reads G = -h_if and
-Omega = h_ii - h_ff off the resummed CONSISTENT entries.  The independent
-checks of that algebra are ``resolvent_effective_hamiltonian`` (a
-construction from projectors and resolvent operators, which validates the
-polynomial matrix term by term), the polynomial form itself, and the exact
-dynamics of the full model.
+``effective_g_omega`` reads G = -h_if and Omega = h_ii - h_ff off the
+resummed entries.  The independent checks of that algebra are
+``resolvent_effective_hamiltonian`` (a construction from projectors and
+resolvent operators, which validates the polynomial matrix term by term),
+the polynomial form itself, and the exact dynamics of the full model.
 
-Two formula variants circulate for a couple of the expressions; the
-``LITERAL`` variant reproduces the commonly transcribed forms verbatim
-(including a dimensionally inhomogeneous denominator and a halved
-independent-emission amplitude), while the default ``CONSISTENT`` variant
-uses the forms that agree with exact second-order reduction of the full
-model.  The toggle exists so both can be compared; all defaults are
-CONSISTENT.
+Where commonly transcribed forms of these expressions differ, the formulas
+kept are the ones that agree with the exact second-order reduction of the
+full model: the single-mode denominators D^2 + 2 g1^2 and d^2 + 2 g2^2, and
+the bimodal independent-emission prefactor 64.
 """
 
 from __future__ import annotations
@@ -53,9 +48,6 @@ import numpy as np
 from .errors import (ConfigurationError, NoRootInInterval, PoleError,
                      SingularityError)
 from .params import ModelParams, SystemKind
-
-CONSISTENT = "consistent"
-LITERAL = "literal"
 
 RESUMMED = "resummed"
 POLYNOMIAL = "polynomial"
@@ -81,43 +73,11 @@ def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
             lo, f_lo = mid, f_mid
 
 
-def _check_variant(variant: str) -> str:
-    if variant not in (CONSISTENT, LITERAL):
-        raise ConfigurationError(
-            f"variant must be {CONSISTENT!r} or {LITERAL!r}, got {variant!r}")
-    return variant
-
-
 def _guard(value: float, description: str, scale: float = 1.0) -> float:
     if abs(value) <= 1e-12 * max(abs(scale), 1.0):
         raise SingularityError(
             f"{description} vanishes; the dispersive reduction is undefined here")
     return value
-
-
-@dataclass(frozen=True)
-class EffectiveTwoLevel:
-    """Effective 2x2 Hamiltonian on (initial, two-photon) with its scalars.
-
-    ``big_g`` is the magnitude of the off-diagonal two-photon coupling and
-    ``big_omega`` the diagonal difference h_ii - h_ff (effective detuning).
-    """
-
-    matrix: np.ndarray
-    big_g: float
-    big_omega: float
-    kind: SystemKind
-    form: str
-    variant: str = CONSISTENT
-
-
-@dataclass(frozen=True)
-class ResolventTerms:
-    """Second- and fourth-order blocks of the resolvent construction."""
-
-    second_order: np.ndarray
-    fourth_order: np.ndarray
-    projector_labels: tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -154,32 +114,23 @@ def interference_amplitude(omega1: float, omega2: float, omega: float,
     return d1 * d2 * (det1 + det2) / (det1 * det2)
 
 
-def perturbative_probability(kind: SystemKind | str, params: ModelParams, t,
-                             variant: str = CONSISTENT):
+def perturbative_probability(kind: SystemKind | str, params: ModelParams, t):
     """Second-order (independent-emission) two-photon probability.
 
     This is the leading term in the couplings: both atoms emit
     independently and no resonance structure appears.  Valid only deep in
     the dispersive regime (couplings much smaller than both detunings) and
-    for short times.
-
-    For the bimodal system the CONSISTENT prefactor is 64; the LITERAL
-    variant keeps the commonly transcribed 16, which underestimates the
-    exact small-coupling dynamics by a uniform factor of 4.  The
-    single-mode prefactor 32 is the same in both variants.
+    for short times.  The prefactor is 64 for the bimodal system and 32
+    for the single-mode one.
     """
     kind = SystemKind.coerce(kind)
-    _check_variant(variant)
     D, d = params.delta_cap, params.delta_small
     if D == 0.0 or d == 0.0:
         raise PoleError(
             "independent-emission expansion has a pole at zero detuning")
     t = np.asarray(t, dtype=float)
     shape = np.sin(d * t / 2.0) ** 2 * np.sin(D * t / 2.0) ** 2
-    if kind is SystemKind.BIMODAL:
-        prefactor = 64.0 if variant == CONSISTENT else 16.0
-    else:
-        prefactor = 32.0
+    prefactor = 64.0 if kind is SystemKind.BIMODAL else 32.0
     out = prefactor * params.g1 ** 2 * params.g2 ** 2 / (d ** 2 * D ** 2) * shape
     return float(out) if out.ndim == 0 else out
 
@@ -206,31 +157,24 @@ def _bimodal_polynomial(p: ModelParams) -> tuple[float, float, float]:
     return h11, h14, h44
 
 
-def _single_mode_resummed(p: ModelParams, variant: str) -> tuple[float, float, float]:
+def _single_mode_resummed(p: ModelParams) -> tuple[float, float, float]:
     D, d, g1, g2 = p.delta_cap, p.delta_small, p.g1, p.g2
     _guard(D, "detuning D", 1.0)
     _guard(d, "detuning d", 1.0)
-    if variant == CONSISTENT:
-        den1 = D * D + 2 * g1 * g1
-        den2 = d * d + 2 * g2 * g2
-    else:
-        # literal transcription: linear detunings in the denominators
-        den1 = _guard(D + 2 * g1 * g1, "denominator D + 2 g1^2", D)
-        den2 = _guard(d + 2 * g2 * g2, "denominator d + 2 g2^2", d)
     h11 = g1 * g1 / D + g2 * g2 / d
-    h14 = -np.sqrt(2.0) * g1 * g2 * (D / den1 + d / den2)
+    h14 = -np.sqrt(2.0) * g1 * g2 * (D / (D * D + 2 * g1 * g1)
+                                     + d / (d * d + 2 * g2 * g2))
     h44 = -(D + d + 2 * g1 * g1 / D + 2 * g2 * g2 / d)
     return h11, h14, h44
 
 
-def _entries(kind: SystemKind, params: ModelParams, form: str = RESUMMED,
-             variant: str = CONSISTENT) -> tuple[float, float, float]:
+def _entries(kind: SystemKind, params: ModelParams,
+             form: str = RESUMMED) -> tuple[float, float, float]:
     """The entries (h11, h14, h44) of H_eff; every route to H_eff uses these."""
-    _check_variant(variant)
     if form == RESUMMED:
         if kind is SystemKind.BIMODAL:
             return _bimodal_resummed(params)
-        return _single_mode_resummed(params, variant)
+        return _single_mode_resummed(params)
     if form == POLYNOMIAL:
         if kind is not SystemKind.BIMODAL:
             raise ConfigurationError(
@@ -242,8 +186,7 @@ def _entries(kind: SystemKind, params: ModelParams, form: str = RESUMMED,
 
 
 def effective_hamiltonian(kind: SystemKind | str, params: ModelParams,
-                          form: str = RESUMMED,
-                          variant: str = CONSISTENT) -> EffectiveTwoLevel:
+                          form: str = RESUMMED) -> np.ndarray:
     """Effective 2x2 Hamiltonian on the (initial, two-photon) pair.
 
     ``form="resummed"`` is the closed-form matrix; ``form="polynomial"``
@@ -251,32 +194,15 @@ def effective_hamiltonian(kind: SystemKind | str, params: ModelParams,
     to fourth order in the couplings; their difference scales as the sixth
     power.
     """
-    kind = SystemKind.coerce(kind)
-    h11, h14, h44 = _entries(kind, params, form, variant)
-    matrix = np.array([[h11, h14], [h14, h44]])
-    return EffectiveTwoLevel(matrix=matrix, big_g=abs(h14),
-                             big_omega=h11 - h44, kind=kind, form=form,
-                             variant=variant)
-
-
-def reduced_rhs(kind: SystemKind | str, params: ModelParams, c,
-                variant: str = CONSISTENT) -> np.ndarray:
-    """Equations of motion c' = -i H_eff c of the reduced pair.
-
-    ``c`` is (c_initial, c_two_photon); H_eff is the resummed
-    :func:`effective_hamiltonian` matrix for ``variant``.
-    """
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (2,):
-        raise ConfigurationError(f"reduced state must have shape (2,), got {c.shape}")
-    return -1j * (effective_hamiltonian(kind, params, variant=variant).matrix @ c)
+    h11, h14, h44 = _entries(SystemKind.coerce(kind), params, form)
+    return np.array([[h11, h14], [h14, h44]])
 
 
 def effective_g_omega(kind: SystemKind | str, params: ModelParams) -> tuple[float, float]:
     """The scalar pair (G, Omega) of the two-level envelope.
 
     G = -h_if is the signed two-photon coupling and Omega = h_ii - h_ff the
-    effective detuning, both read off the resummed CONSISTENT entries of
+    effective detuning, both read off the resummed entries of
     :func:`effective_hamiltonian` (without building its matrix); the
     envelope depends only on G^2 and Omega.  Vanishing of both — which
     happens identically for equal couplings at the bare resonance
@@ -362,10 +288,8 @@ def resonance_detuning(kind: SystemKind | str, params: ModelParams,
                            interval=(lo, hi), kind=kind)
 
 
-def resolvent_effective_hamiltonian(
-        params: ModelParams,
-        include_fourth_order: bool = True) -> tuple[ResolventTerms, EffectiveTwoLevel]:
-    """Projector/resolvent construction of the bimodal effective pair.
+def resolvent_effective_hamiltonian(params: ModelParams) -> np.ndarray:
+    """Projector/resolvent construction of the bimodal effective 2x2 matrix.
 
     Splits the 6x6 Hamiltonian into its diagonal part and the coupling V,
     projects onto the quasi-degenerate pair (initial, two-photon), and
@@ -417,15 +341,4 @@ def resolvent_effective_hamiltonian(
     a4_full = pr @ v @ q1 @ v @ q1 @ v @ q1 @ v @ pr
 
     idx = np.ix_(pair, pair)
-    a2 = a2_full[idx]
-    a4 = a4_full[idx] if include_fourth_order else np.zeros((2, 2))
-
-    labels = ("ee,00", "gg,11")
-    matrix = np.diag(energies[list(pair)]) + a2 + a4
-    terms = ResolventTerms(second_order=a2, fourth_order=a4,
-                           projector_labels=labels)
-    effective = EffectiveTwoLevel(
-        matrix=matrix, big_g=abs(matrix[0, 1]),
-        big_omega=float(matrix[0, 0] - matrix[1, 1]),
-        kind=SystemKind.BIMODAL, form="resolvent")
-    return terms, effective
+    return np.diag(energies[list(pair)]) + a2_full[idx] + a4_full[idx]

@@ -4,8 +4,8 @@ Each check exercises one independent cross-validation of the engine
 (stepping integrator vs exact diagonalization, damped vs coherent sector,
 damped top excitation block vs the no-jump amplitude problem, resolvent vs
 tabulated effective matrix, exact interference cancellation).
-The whole suite runs in a few seconds; it is a smoke test, not the full
-test suite.
+The whole suite runs in a few tenths of a second; it is a smoke test, not
+the full test suite.
 """
 
 from __future__ import annotations
@@ -112,10 +112,10 @@ def _check_no_jump() -> CheckResult:
 
 def _check_resolvent() -> CheckResult:
     params = ModelParams(g2=1.5, delta_cap=-7.0, delta_small=7.0)
-    _, via_resolvent = resolvent_effective_hamiltonian(params)
+    via_resolvent = resolvent_effective_hamiltonian(params)
     tabulated = effective_hamiltonian(SystemKind.BIMODAL, params,
                                       form="polynomial")
-    worst = float(np.max(np.abs(via_resolvent.matrix - tabulated.matrix)))
+    worst = float(np.max(np.abs(via_resolvent - tabulated)))
     return CheckResult("resolvent construction matches fourth-order matrix",
                        worst <= 1e-12, f"max entry deviation {worst:.2e}")
 

@@ -150,9 +150,9 @@ def test_criterion_5_resolvent_reduction(report):
         delta = rng.uniform(2.0, 10.0)
         p = ModelParams(g2=rng.uniform(0.5, 3.0), delta_cap=-delta,
                         delta_small=delta)
-        _, eff = resolvent_effective_hamiltonian(p)
+        eff = resolvent_effective_hamiltonian(p)
         poly = effective_hamiltonian("bimodal", p, form="polynomial")
-        worst = max(worst, float(np.max(np.abs(eff.matrix - poly.matrix))))
+        worst = max(worst, float(np.max(np.abs(eff - poly))))
 
     # the resummed and polynomial forms differ only at sixth order in the
     # couplings: their gap must shrink with log-log slope 6 under rescaling
@@ -162,7 +162,7 @@ def test_criterion_5_resolvent_reduction(report):
         p = ModelParams(g1=g1, g2=1.5 * g1, delta_cap=-5.0, delta_small=5.0)
         resummed = effective_hamiltonian("bimodal", p)
         poly = effective_hamiltonian("bimodal", p, form="polynomial")
-        gaps.append(np.max(np.abs(resummed.matrix - poly.matrix)))
+        gaps.append(np.max(np.abs(resummed - poly)))
     slope = float(np.polyfit(np.log(couplings), np.log(gaps), 1)[0])
 
     ok = worst <= 1e-12 and abs(slope - 6.0) <= 0.2

@@ -45,6 +45,15 @@ def test_cli_import_does_not_load_version_metadata():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_public_names_resolve():
+    names = twophoton.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(twophoton, n)] == []
+    namespace = {}
+    exec("from twophoton import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
@@ -265,11 +274,30 @@ def test_missing_config_file(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
-def test_malformed_config_file(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text("not json{")
-    assert main(["evolve", "--config", str(cfg),
-                 "--out", str(tmp_path)]) == EXIT_CONFIG
+def test_malformed_config_file(tmp_path, capsys):
+    # not JSON, not UTF-8 (a UTF-16 byte-order mark), nested past Python's
+    # recursion limit, and a directory
+    text, utf16, deep = (tmp_path / name for name in ("run.json", "utf16.json",
+                                                      "deep.json"))
+    text.write_text("not json{")
+    utf16.write_bytes(b"\xff\xfe{}")
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for cfg in (text, utf16, deep, tmp_path):
+        assert main(["evolve", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+def test_out_that_cannot_be_a_directory_exits_three(tmp_path, capsys):
+    # --out naming an existing file, or a path under one
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "sub"):
+        assert main(["evolve", "--horizon", "1", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert afile.read_text() == ""
 
 
 def test_usage_errors_exit_one():

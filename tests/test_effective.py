@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twophoton import (CONSISTENT, LITERAL, ConfigurationError, ModelParams,
-                       NoRootInInterval, PoleError, SingularityError,
-                       closed_form_probability, effective_g_omega,
-                       effective_hamiltonian, interference_amplitude,
-                       perturbative_probability, reduced_rhs,
+from twophoton import (ConfigurationError, ModelParams, NoRootInInterval,
+                       PoleError, SingularityError, closed_form_probability,
+                       effective_g_omega, effective_hamiltonian,
+                       interference_amplitude, perturbative_probability,
                        resolvent_effective_hamiltonian, resonance_detuning,
                        stark_shift_condition)
 
@@ -19,26 +18,12 @@ P_DEEP = ModelParams(g2=1.5, delta_cap=-10.0, delta_small=9.5)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["bimodal", "single_mode"])
-@pytest.mark.parametrize("variant", [CONSISTENT, LITERAL])
-def test_reduced_rhs_matches_effective_hamiltonian(kind, variant):
-    # same algebra written twice: equations of motion vs matrix entries
-    p = ModelParams(g2=1.5, delta_cap=-10.0, delta_small=9.5)
-    eff = effective_hamiltonian(kind, p, variant=variant)
-    for col, e in enumerate(np.eye(2, dtype=complex)):
-        derivative = reduced_rhs(kind, p, e, variant=variant)
-        assert np.max(np.abs(derivative - (-1j) * eff.matrix[:, col])) < 1e-12
-
-
-@pytest.mark.parametrize("kind", ["bimodal", "single_mode"])
 def test_scalars_match_matrix(kind):
     p = ModelParams(g2=1.5, delta_cap=-10.0, delta_small=9.5)
     eff = effective_hamiltonian(kind, p)
     big_g, big_omega = effective_g_omega(kind, p)
-    assert abs(big_g) == pytest.approx(abs(eff.matrix[0, 1]), abs=1e-13)
-    assert big_omega == pytest.approx(eff.matrix[0, 0] - eff.matrix[1, 1],
-                                      abs=1e-13)
-    assert eff.big_g == abs(eff.matrix[0, 1])
-    assert eff.big_omega == pytest.approx(big_omega)
+    assert big_g == -eff[0, 1]
+    assert big_omega == eff[0, 0] - eff[1, 1]
 
 
 def test_envelope_invariant_under_coupling_sign_flip():
@@ -54,10 +39,10 @@ def test_envelope_invariant_under_coupling_sign_flip():
         c = (phases * (vectors.T @ c0)) @ vectors.T
         return np.abs(c[:, 1]) ** 2
 
-    flipped = eff.matrix.copy()
+    flipped = eff.copy()
     flipped[0, 1] *= -1.0
     flipped[1, 0] *= -1.0
-    assert np.max(np.abs(envelope(eff.matrix) - envelope(flipped))) < 1e-12
+    assert np.max(np.abs(envelope(eff) - envelope(flipped))) < 1e-12
 
 
 def test_polynomial_vs_resummed_difference_is_sixth_order():
@@ -69,7 +54,7 @@ def test_polynomial_vs_resummed_difference_is_sixth_order():
         p = ModelParams(g1=g1, g2=1.5 * g1, delta_cap=-5.0, delta_small=5.0)
         resummed = effective_hamiltonian("bimodal", p)
         poly = effective_hamiltonian("bimodal", p, form="polynomial")
-        diffs.append(np.max(np.abs(resummed.matrix - poly.matrix)))
+        diffs.append(np.max(np.abs(resummed - poly)))
     slope = np.polyfit(np.log(gs), np.log(diffs), 1)[0]
     assert slope == pytest.approx(6.0, abs=0.2)
 
@@ -77,16 +62,6 @@ def test_polynomial_vs_resummed_difference_is_sixth_order():
 def test_polynomial_form_rejected_for_single_mode():
     with pytest.raises(ConfigurationError):
         effective_hamiltonian("single_mode", P_DEEP, form="polynomial")
-
-
-def test_single_mode_variants_differ():
-    p = ModelParams(g2=2.0, delta_cap=-7.0, delta_small=6.0)
-    consistent = effective_hamiltonian("single_mode", p, variant=CONSISTENT)
-    literal = effective_hamiltonian("single_mode", p, variant=LITERAL)
-    assert consistent.matrix[0, 1] != literal.matrix[0, 1]
-    # diagonals are unambiguous
-    assert consistent.matrix[0, 0] == literal.matrix[0, 0]
-    assert consistent.matrix[1, 1] == literal.matrix[1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -98,34 +73,23 @@ def test_single_mode_variants_differ():
        ratio=st.floats(min_value=0.5, max_value=3.0))
 def test_resolvent_matches_polynomial_on_shell(delta, ratio):
     p = ModelParams(g1=1.0, g2=ratio, delta_cap=-delta, delta_small=delta)
-    _, via_resolvent = resolvent_effective_hamiltonian(p)
+    via_resolvent = resolvent_effective_hamiltonian(p)
     poly = effective_hamiltonian("bimodal", p, form="polynomial")
-    assert np.max(np.abs(via_resolvent.matrix - poly.matrix)) < 1e-12
+    assert np.max(np.abs(via_resolvent - poly)) < 1e-12
 
 
 def test_resolvent_terms_structure():
     p = ModelParams(g2=1.5, delta_cap=-7.0, delta_small=7.0)
-    terms, eff = resolvent_effective_hamiltonian(p)
-    assert terms.projector_labels == ("ee,00", "gg,11")
-    assert terms.second_order.shape == (2, 2)
-    assert terms.fourth_order.shape == (2, 2)
+    eff = resolvent_effective_hamiltonian(p)
+    assert eff.shape == (2, 2)
     # hermitian on the degenerate shell
-    assert np.max(np.abs(eff.matrix - eff.matrix.T)) < 1e-12
-    # second- and fourth-order pieces assemble the matrix (shell energy 0)
-    assert np.allclose(terms.second_order + terms.fourth_order, eff.matrix)
+    assert np.max(np.abs(eff - eff.T)) < 1e-12
 
 
 def test_resolvent_warns_off_shell():
     p = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5)
     with pytest.warns(UserWarning, match="quasi-degenerate"):
         resolvent_effective_hamiltonian(p)
-
-
-def test_resolvent_without_fourth_order():
-    p = ModelParams(g2=1.5, delta_cap=-7.0, delta_small=7.0)
-    terms, eff = resolvent_effective_hamiltonian(p, include_fourth_order=False)
-    assert np.all(terms.fourth_order == 0.0)
-    assert np.allclose(eff.matrix, terms.second_order)
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +160,6 @@ def test_stark_shift_condition_coefficients():
 # perturbative limit
 # ---------------------------------------------------------------------------
 
-def test_perturbative_variants_bimodal():
-    p = ModelParams(g1=0.1, g2=0.1, delta_cap=-10.0, delta_small=10.0)
-    t = np.linspace(0.1, 5.0, 50)
-    consistent = perturbative_probability("bimodal", p, t)
-    literal = perturbative_probability("bimodal", p, t, variant=LITERAL)
-    assert np.allclose(consistent, 4.0 * literal)
-
-
-def test_perturbative_single_mode_variant_free():
-    p = ModelParams(g1=0.1, g2=0.1, delta_cap=-10.0, delta_small=10.0)
-    t = np.linspace(0.1, 5.0, 50)
-    assert np.array_equal(
-        perturbative_probability("single_mode", p, t),
-        perturbative_probability("single_mode", p, t, variant=LITERAL))
-
-
 def test_perturbative_scalar_time():
     p = ModelParams(g1=0.1, g2=0.1, delta_cap=-10.0, delta_small=10.0)
     out = perturbative_probability("bimodal", p, 1.0)
@@ -265,9 +213,8 @@ def test_interference_pole():
 
 @pytest.mark.parametrize("route", [
     effective_hamiltonian,
-    lambda kind, p: reduced_rhs(kind, p, [1.0, 0.0]),
     effective_g_omega,
-], ids=["effective_hamiltonian", "reduced_rhs", "effective_g_omega"])
+], ids=["effective_hamiltonian", "effective_g_omega"])
 def test_resummed_singular_at_one_photon_crossing(route):
     # every route to the effective model shares the resummed guards
     p = ModelParams(g2=1.5, delta_cap=np.sqrt(2.0), delta_small=7.0)
@@ -282,16 +229,12 @@ def test_polynomial_singular_at_zero_detuning():
 
 
 def test_literal_single_mode_denominator_can_vanish():
-    # the dimensionally inhomogeneous variant has a spurious singularity at
-    # delta = -2 g^2 that the consistent form does not have
+    # a linear-detuning transcription D + 2 g1^2 of the single-mode
+    # denominator vanishes at D = -2 g1^2; the quadratic form stays finite
     p = ModelParams(g1=1.0, g2=1.5, delta_cap=-2.0, delta_small=6.0)
-    effective_hamiltonian("single_mode", p)  # consistent form is fine
-    with pytest.raises(SingularityError):
-        effective_hamiltonian("single_mode", p, variant=LITERAL)
+    assert np.all(np.isfinite(effective_hamiltonian("single_mode", p)))
 
 
 def test_bad_variant_rejected():
-    with pytest.raises(ConfigurationError):
-        effective_hamiltonian("bimodal", P_DEEP, variant="sloppy")
     with pytest.raises(ConfigurationError):
         effective_hamiltonian("bimodal", P_DEEP, form="other")

@@ -134,6 +134,28 @@ def test_swap_symmetries(g, detunings, kappas):
     assert np.max(np.abs(damped[0] - damped[1])) <= 1e-12
 
 
+@pytest.mark.parametrize("scale,tol", [(2.0, 0.0), (0.5, 0.0),
+                                       (3.0, 1e-13), (0.1, 1e-13)])
+def test_unit_covariance(scale, tol):
+    # the equations hold in any frequency unit: rates times lambda and
+    # times over lambda give the same series; a power of two rescales
+    # every float exactly, so there the series are bit-identical.  The
+    # coarse grid cuts each interval into several sub-intervals.
+    coherent = ModelParams(g2=1.5, delta_cap=-5.0, delta_small=3.5)
+    cases = [(evolve_probability, "bimodal", coherent),
+             (evolve_probability, "single_mode", coherent.replace(g2=2.0)),
+             (evolve_population, "bimodal",
+              coherent.replace(kappa_a=0.1, kappa_b=0.05)),
+             (evolve_population, "single_mode",
+              coherent.replace(g2=2.0, kappa_a=0.1))]
+    t = time_grid(10.0, 0.25)
+    for evolve, kind, p in cases:
+        scaled = ModelParams(**{k: scale * v for k, v in vars(p).items()})
+        base = evolve(kind, p, t).values
+        assert np.max(np.abs(evolve(kind, scaled, t / scale).values
+                             - base)) <= tol, (evolve.__name__, kind)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_coarse_substep_aborts_with_diagnostics(monkeypatch):
     # one Taylor step per 0.5 interval (THETA = inf) is pathologically
