@@ -9,19 +9,17 @@ under cavity photon loss, plus reference experiments and a CLI
 """
 
 from .basis import Basis, BasisState, enumerate_basis
-from .effective import (POLYNOMIAL, RESUMMED, ResonanceResult,
-                        closed_form_probability, effective_g_omega,
-                        effective_hamiltonian, interference_amplitude,
-                        perturbative_probability,
+from .effective import (POLYNOMIAL, RESUMMED, closed_form_probability,
+                        effective_g_omega, effective_hamiltonian,
+                        interference_amplitude, perturbative_probability,
                         resolvent_effective_hamiltonian, resonance_detuning,
                         stark_shift_condition)
 from .errors import (ConfigurationError, NoRootInInterval,
                      NumericalInvariantError, PoleError, SingularityError,
                      TwoPhotonError)
-from .experiments import (EnvelopeComparison, ResonanceReport, SweepResult,
-                          SweepRow, SweepSpec, damping_sweep, default_horizon,
-                          envelope_compare, resonance_report, scan_two_photon,
-                          time_grid)
+from .experiments import (ResonanceReport, SweepResult, SweepSpec,
+                          damping_sweep, default_horizon, resonance_report,
+                          scan_two_photon, time_grid)
 from .lindblad import evolve_density, evolve_population, lindblad_rhs
 from .operators import (build_hamiltonian, embed_unitary_sector,
                         excitation_numbers, spectrum_lines)
@@ -39,16 +37,15 @@ def __getattr__(name: str):
 
 __all__ = [
     "Basis", "BasisState", "enumerate_basis",
-    "POLYNOMIAL", "RESUMMED", "ResonanceResult",
+    "POLYNOMIAL", "RESUMMED",
     "closed_form_probability", "effective_g_omega", "effective_hamiltonian",
     "interference_amplitude", "perturbative_probability",
     "resolvent_effective_hamiltonian", "resonance_detuning",
     "stark_shift_condition",
     "ConfigurationError", "NoRootInInterval", "NumericalInvariantError",
     "PoleError", "SingularityError", "TwoPhotonError",
-    "EnvelopeComparison", "ResonanceReport", "SweepResult", "SweepRow",
-    "SweepSpec", "damping_sweep", "default_horizon", "envelope_compare",
-    "resonance_report", "scan_two_photon", "time_grid",
+    "ResonanceReport", "SweepResult", "SweepSpec", "damping_sweep",
+    "default_horizon", "resonance_report", "scan_two_photon", "time_grid",
     "evolve_density", "evolve_population", "lindblad_rhs",
     "build_hamiltonian", "embed_unitary_sector",
     "excitation_numbers", "spectrum_lines",

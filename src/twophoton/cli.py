@@ -21,7 +21,7 @@ each writer builds a template with one ``"%s%s"`` cell per number and
 fills it in one ``%`` from ``_cells``, which works out each value's
 correctly rounded 15-digit significand in NumPy, so C prints integers
 rather than running ``%.15g`` per value.  A scan formats its time column
-once and reuses it for every row on the same grid.
+once and reuses it for every row: all rows share one grid.
 
 Exit codes: 0 success, 1 usage error, 2 numerical invariant breach,
 3 configuration error (running out of memory counts: the grid is too long).
@@ -343,19 +343,8 @@ def _cmd_master(args) -> int:
     return EXIT_OK
 
 
-def _summary_rows(result) -> list[dict]:
-    rows = []
-    for row in result.rows:
-        entry = {"axis": row.axis_value, "peak_value": row.peak_value,
-                 "peak_time": row.peak_time}
-        entry.update(row.extras)
-        rows.append(entry)
-    return rows
-
-
-def _write_summary_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        raise ConfigurationError("no sweep rows to summarize")
+def _write_summary_csv(path: Path, rows) -> None:
+    """One line per row dict, its keys (those of the first row) the header."""
     keys = list(rows[0])
     template = (",".join([CELL] * len(keys)) + "\n") * len(rows)
     _write_text(path, ",".join(keys) + "\n"
@@ -390,24 +379,21 @@ def _cmd_scan(args) -> int:
         summary_name = "scan_summary.csv"
 
     outputs = []
-    grid = None
-    for i, row in enumerate(result.rows):
-        if grid is None or not np.array_equal(row.series.times, grid):
-            grid = row.series.times
-            template = list(_series_template(grid))
+    template = list(_series_template(result.times))
+    for i, values in enumerate(result.values):
         name = f"{prefix}_row{i:03d}.csv"
-        _write_series_csv(outdir / name, template, row.series.values)
+        _write_series_csv(outdir / name, template, values)
         outputs.append(name)
     summary = outdir / summary_name
-    _write_summary_csv(summary, _summary_rows(result))
+    _write_summary_csv(summary, result.rows)
     outputs.append(summary.name)
     _write_manifest(outdir, "scan", kind, params, outputs,
                     horizon=horizon, axis=axis,
                     provenance=result.provenance)
     best = result.argmax_row()
     print(f"wrote {len(outputs)} files to {outdir}")
-    print(f"peak {axis}={_fmt(best.axis_value)}: "
-          f"max={_fmt(best.peak_value)} at g1_t={_fmt(best.peak_time)}")
+    print(f"peak {axis}={_fmt(best['axis'])}: "
+          f"max={_fmt(best['peak_value'])} at g1_t={_fmt(best['peak_time'])}")
     return EXIT_OK
 
 
@@ -447,7 +433,7 @@ def _cmd_resonance(args) -> int:
     out = outdir / "resonance.json"
     _write_text(out, text + "\n")
     summary = outdir / "resonance_scan_summary.csv"
-    _write_summary_csv(summary, _summary_rows(report.scan))
+    _write_summary_csv(summary, report.scan.rows)
     _write_manifest(outdir, "resonance", kind, params,
                     [out.name, summary.name],
                     provenance=report.scan.provenance)

@@ -41,7 +41,6 @@ the bimodal independent-emission prefactor 64.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,23 +77,6 @@ def _guard(value: float, description: str, scale: float = 1.0) -> float:
         raise SingularityError(
             f"{description} vanishes; the dispersive reduction is undefined here")
     return value
-
-
-@dataclass(frozen=True)
-class ResonanceResult:
-    """Located two-photon resonance.
-
-    ``delta_star`` is the root of the effective detuning Omega on the
-    search interval; ``delta_star_stark`` is the root of the simpler
-    Stark-shift condition (None if that form does not change sign on the
-    interval); ``omega_residual`` is Omega evaluated at the root.
-    """
-
-    delta_star: float
-    delta_star_stark: float | None
-    omega_residual: float
-    interval: tuple[float, float]
-    kind: SystemKind
 
 
 def interference_amplitude(omega1: float, omega2: float, omega: float,
@@ -247,13 +229,14 @@ def stark_shift_condition(kind: SystemKind | str, params: ModelParams,
 
 
 def resonance_detuning(kind: SystemKind | str, params: ModelParams,
-                       interval: tuple[float, float]) -> ResonanceResult:
+                       interval: tuple[float, float]) -> tuple[float, float | None]:
     """Locate the shifted two-photon resonance Omega(delta_small) = 0.
 
     Bisects the effective detuning over ``interval`` (all other parameters
-    fixed) to an absolute tolerance well below 1e-8.  Also reports the
-    root of the simpler Stark-shift condition when it brackets on the same
-    interval.
+    fixed) to an absolute tolerance well below 1e-8 and returns
+    ``(delta_star, delta_star_stark)``: the root of Omega, and the root of
+    the simpler Stark-shift condition (None if that form does not change
+    sign on the interval).
 
     Raises
     ------
@@ -283,9 +266,7 @@ def resonance_detuning(kind: SystemKind | str, params: ModelParams,
     if np.sign(s_lo) != np.sign(s_hi):
         stark_root = _bisect(stark_at, lo, hi, s_lo)
 
-    return ResonanceResult(delta_star=root, delta_star_stark=stark_root,
-                           omega_residual=omega_at(root),
-                           interval=(lo, hi), kind=kind)
+    return root, stark_root
 
 
 def resolvent_effective_hamiltonian(params: ModelParams) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Reference experiments: detuning scans, envelope checks, damping studies.
+"""Reference experiments: detuning scans, damping studies, resonance reports.
 
 These drive the low-level engines over parameter grids and reduce each run
 to its headline numbers (peak two-photon probability, peak time, decay
@@ -7,23 +7,24 @@ executed in any order or in parallel; the implementation simply loops.
 
 Peak detection is the raw grid maximum on a fixed output grid with step
 0.01/g1; no interpolation, so results are deterministic and insensitive to
-optimizer quirks.  All headline values carry enough provenance (grid step,
-horizon and engine version) to be reproduced exactly: the integrator cuts
-each output interval by the generator's norm and has no setting of its own.
+optimizer quirks.  Each result records its grid step and horizon, and the
+integrator cuts each output interval by the generator's norm with no
+setting of its own.  The recorded ``engine`` does not identify the code:
+it reads ``unknown`` from a source tree and the installed distribution's
+version otherwise (ROADMAP item 2).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import closed_form_probability, effective_g_omega, resonance_detuning
+from .effective import effective_g_omega, resonance_detuning
 from .errors import ConfigurationError, NoRootInInterval, SingularityError
 from .lindblad import evolve_population
 from .params import ModelParams, SystemKind
-from .unitary import TimeSeries, evolve_probability
+from .unitary import evolve_probability
 
 PEAK_GRID_STEP = 0.01
 DEFAULT_HORIZON = 25.0
@@ -100,11 +101,6 @@ def default_horizon(kind: SystemKind | str, params: ModelParams) -> float:
                          MAX_DEFAULT_HORIZON))
 
 
-def _peak(series: TimeSeries) -> tuple[float, float]:
-    i = int(np.argmax(series.values))
-    return float(series.values[i]), float(series.times[i])
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Definition of a one-axis sweep.
@@ -139,37 +135,43 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One sweep point: the observable series and its headline numbers."""
-
-    axis_value: float
-    series: TimeSeries
-    peak_value: float
-    peak_time: float
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    spec: SweepSpec | None
-    rows: tuple[SweepRow, ...]
+    """A sweep as the table the CLI writes.
+
+    ``values[i]`` is row i's series on the grid ``times`` that every row
+    shares, and ``rows[i]`` its summary: ``axis``, ``peak_value`` and
+    ``peak_time``, plus the three window columns of a damping ladder.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    rows: tuple[dict, ...]
     provenance: dict
 
-    def argmax_row(self) -> SweepRow:
+    def argmax_row(self) -> dict:
         """The row with the largest peak value (raw grid comparison)."""
-        return max(self.rows, key=lambda r: r.peak_value)
+        return max(self.rows, key=lambda r: r["peak_value"])
+
+
+def _sweep(evolve, kind: SystemKind, times: np.ndarray, runs):
+    """Evolve each ``(axis value, params)`` of ``runs`` on ``times``: the
+    (rows, nt) table and each row's peak on the grid."""
+    values = np.empty((len(runs), times.size))
+    rows = []
+    for series, (axis, params) in zip(values, runs):
+        series[:] = evolve(kind, params, times).values
+        i = int(np.argmax(series))
+        rows.append({"axis": axis, "peak_value": float(series[i]),
+                     "peak_time": float(times[i])})
+    return values, rows
 
 
 def scan_two_photon(spec: SweepSpec) -> SweepResult:
     """Coherent-sector sweep of the two-photon probability along one axis."""
-    grid = time_grid(spec.horizon)
-    rows = []
-    for value in spec.values:
-        params = spec.params.replace(**{spec.axis: value})
-        series = evolve_probability(spec.kind, params, grid)
-        peak_value, peak_time = _peak(series)
-        rows.append(SweepRow(axis_value=value, series=series,
-                             peak_value=peak_value, peak_time=peak_time))
+    times = time_grid(spec.horizon)
+    values, rows = _sweep(evolve_probability, spec.kind, times,
+                          [(value, spec.params.replace(**{spec.axis: value}))
+                           for value in spec.values])
     provenance = {
         "engine": engine_version(),
         "axis": spec.axis,
@@ -177,79 +179,22 @@ def scan_two_photon(spec: SweepSpec) -> SweepResult:
         "grid_step": PEAK_GRID_STEP,
         "horizon": spec.horizon,
     }
-    return SweepResult(spec=spec, rows=tuple(rows), provenance=provenance)
+    return SweepResult(times, values, tuple(rows), provenance)
 
 
-@dataclass(frozen=True)
-class EnvelopeComparison:
-    """Exact dynamics against the dispersive two-level envelope."""
-
-    times: np.ndarray
-    exact: np.ndarray
-    envelope: np.ndarray
-    peak_exact: float
-    peak_time_exact: float
-    peak_envelope: float
-    peak_time_envelope: float
-    peak_relative_error: float
-    dispersive: bool
-
-
-def envelope_compare(kind: SystemKind | str, params: ModelParams,
-                     horizon: float | None = None) -> EnvelopeComparison:
-    """Compare exact two-photon dynamics with the closed-form envelope.
-
-    Advisory: the envelope is a dispersive approximation, trusted when
-    both detunings exceed five times the larger coupling; outside that a
-    warning is issued and the record is flagged.
-    """
-    kind = SystemKind.coerce(kind)
-    if horizon is None:
-        horizon = default_horizon(kind, params)
-    dispersive = min(abs(params.delta_cap), abs(params.delta_small)) \
-        >= 5.0 * max(params.g1, params.g2)
-    if not dispersive:
-        warnings.warn(
-            "detunings are within 5x the couplings; the two-level envelope "
-            "is used outside its dispersive validity domain",
-            UserWarning, stacklevel=2)
-    grid = time_grid(horizon)
-    series = evolve_probability(kind, params, grid)
-    envelope = closed_form_probability(kind, params, grid)
-    peak_exact, t_exact = _peak(series)
-    i = int(np.argmax(envelope))
-    peak_env, t_env = float(envelope[i]), float(grid[i])
-    rel = abs(peak_env - peak_exact) / peak_exact if peak_exact > 0 else np.inf
-    return EnvelopeComparison(
-        times=grid, exact=np.asarray(series.values), envelope=envelope,
-        peak_exact=peak_exact, peak_time_exact=t_exact,
-        peak_envelope=peak_env, peak_time_envelope=t_env,
-        peak_relative_error=float(rel), dispersive=dispersive)
-
-
-def _default_damping_params(kind: SystemKind) -> ModelParams:
-    if kind is SystemKind.BIMODAL:
-        return ModelParams(g1=1.0, g2=1.5, delta_cap=-5.0, delta_small=3.5)
-    # single-mode study: strong-coupling resonance of the g2/g1 = 2 system
-    return ModelParams(g1=1.0, g2=2.0, delta_cap=-5.0, delta_small=2.75)
-
-
-def damping_sweep(kind: SystemKind | str = SystemKind.BIMODAL,
-                  params: ModelParams | None = None,
-                  kappas=(0.0, 0.03, 0.1),
-                  horizon: float = LATE_WINDOW[1]) -> SweepResult:
+def damping_sweep(kind: SystemKind | str, params: ModelParams, kappas,
+                  horizon: float) -> SweepResult:
     """Two-photon population under increasing cavity damping.
 
     For each kappa both modes are damped equally (the single-mode system
-    damps its one mode).  Each row records the population series, the peak
-    inside the first window [0, 25], the peak in the late window
-    [25, horizon], and their ratio — the survival measure of the resonant
-    oscillations.
+    damps its one mode).  Each row records the peak inside the first
+    window [0, 25], the peak in the late window [25, horizon], and their
+    ratio — the survival measure of the resonant oscillations.
     """
     kind = SystemKind.coerce(kind)
-    if params is None:
-        params = _default_damping_params(kind)
     kappas = tuple(float(k) for k in np.atleast_1d(np.asarray(kappas, dtype=float)))
+    if not kappas:
+        raise ConfigurationError("damping sweep needs at least one kappa")
     if any(k < 0 for k in kappas):
         raise ConfigurationError("damping constants must be non-negative")
     if horizon <= FIRST_WINDOW[1]:
@@ -257,27 +202,19 @@ def damping_sweep(kind: SystemKind | str = SystemKind.BIMODAL,
             f"horizon must exceed the first window end {FIRST_WINDOW[1]} "
             "so a late window exists")
 
-    grid = time_grid(horizon)
-    first_mask = grid <= FIRST_WINDOW[1]
-    late_mask = (grid >= LATE_WINDOW[0]) & (grid <= min(LATE_WINDOW[1], horizon))
-
-    rows = []
-    for kappa in kappas:
-        if kind is SystemKind.BIMODAL:
-            run = params.replace(kappa_a=kappa, kappa_b=kappa)
-        else:
-            run = params.replace(kappa_a=kappa, kappa_b=0.0)
-        series = evolve_population(kind, run, grid)
-        peak_value, peak_time = _peak(series)
-        first_peak = float(np.max(series.values[first_mask]))
-        late_peak = float(np.max(series.values[late_mask]))
-        ratio = late_peak / first_peak if first_peak > 0 else np.nan
-        rows.append(SweepRow(
-            axis_value=kappa, series=series,
-            peak_value=peak_value, peak_time=peak_time,
-            extras={"first_window_peak": first_peak,
-                    "late_window_peak": late_peak,
-                    "late_to_first_ratio": ratio}))
+    times = time_grid(horizon)
+    first_mask = times <= FIRST_WINDOW[1]
+    late_mask = (times >= LATE_WINDOW[0]) & (times <= min(LATE_WINDOW[1], horizon))
+    bimodal = kind is SystemKind.BIMODAL
+    values, rows = _sweep(evolve_population, kind, times,
+                          [(k, params.replace(kappa_a=k, kappa_b=k if bimodal else 0.0))
+                           for k in kappas])
+    for row, series in zip(rows, values):
+        first_peak = float(np.max(series[first_mask]))
+        late_peak = float(np.max(series[late_mask]))
+        row.update(first_window_peak=first_peak, late_window_peak=late_peak,
+                   late_to_first_ratio=(late_peak / first_peak if first_peak > 0
+                                        else np.nan))
     provenance = {
         "engine": engine_version(),
         "axis": "kappa",
@@ -290,7 +227,7 @@ def damping_sweep(kind: SystemKind | str = SystemKind.BIMODAL,
                    "delta_cap": params.delta_cap,
                    "delta_small": params.delta_small},
     }
-    return SweepResult(spec=None, rows=tuple(rows), provenance=provenance)
+    return SweepResult(times, values, tuple(rows), provenance)
 
 
 @dataclass(frozen=True)
@@ -303,8 +240,6 @@ class ResonanceReport:
     dispersive effective detuning never crosses zero).
     """
 
-    kind: SystemKind
-    interval: tuple[float, float]
     delta_star_omega: float | None
     delta_star_stark: float | None
     delta_star_scan: float
@@ -332,12 +267,10 @@ def resonance_report(kind: SystemKind | str, params: ModelParams,
     if not lo < hi:
         raise ConfigurationError(f"interval must satisfy lo < hi, got {interval}")
 
-    delta_star_omega = None
-    delta_star_stark = None
+    delta_star_omega = delta_star_stark = None
     try:
-        located = resonance_detuning(kind, params, (lo, hi))
-        delta_star_omega = located.delta_star
-        delta_star_stark = located.delta_star_stark
+        delta_star_omega, delta_star_stark = resonance_detuning(kind, params,
+                                                                (lo, hi))
     except (NoRootInInterval, SingularityError):
         pass
 
@@ -351,13 +284,12 @@ def resonance_report(kind: SystemKind | str, params: ModelParams,
     best = scan.argmax_row()
 
     return ResonanceReport(
-        kind=kind, interval=(lo, hi),
         delta_star_omega=delta_star_omega,
         delta_star_stark=delta_star_stark,
-        delta_star_scan=best.axis_value,
-        scan_peak_value=best.peak_value,
-        scan_peak_time=best.peak_time,
+        delta_star_scan=best["axis"],
+        scan_peak_value=best["peak_value"],
+        scan_peak_time=best["peak_time"],
         omega_minus_scan=(None if delta_star_omega is None
-                          else delta_star_omega - best.axis_value),
-        shift_from_bare=best.axis_value - (-params.delta_cap),
+                          else delta_star_omega - best["axis"]),
+        shift_from_bare=best["axis"] - (-params.delta_cap),
         scan=scan)

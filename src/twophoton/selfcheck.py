@@ -1,9 +1,10 @@
 """Fast end-to-end consistency checks, runnable via ``twophoton selfcheck``.
 
 Each check exercises one independent cross-validation of the engine
-(stepping integrator vs exact diagonalization, damped vs coherent sector,
-damped top excitation block vs the no-jump amplitude problem, resolvent vs
-tabulated effective matrix, exact interference cancellation).
+(damped basis embedding the coherent sector, stepping integrator vs exact
+diagonalization, damped vs coherent sector, damped top excitation block vs
+the no-jump amplitude problem, resolvent vs tabulated effective matrix,
+exact interference cancellation, destructive-interference suppression).
 The whole suite runs in a few tenths of a second; it is a smoke test, not
 the full test suite.
 """

@@ -73,7 +73,12 @@ def _checked_blocks(kind: SystemKind, params: ModelParams, basis: Basis,
                     t: np.ndarray, initial):
     """Yield ``(start, block)`` of
     :func:`twophoton.integrate.propagate_blocks` for the amplitudes, each
-    block norm-checked before it is yielded."""
+    block norm-checked before it is yielded.  Damping is refused: this
+    sector has no photon loss."""
+    if params.kappa_a or params.kappa_b:
+        raise ConfigurationError(
+            f"the coherent engine has no damping (kappa_a={params.kappa_a:g}, "
+            f"kappa_b={params.kappa_b:g}); damped runs are master and scan --axis kappa")
     c0 = _initial_vector(basis, initial)
     h = build_hamiltonian(kind, params, damped=False)
     for start, block in propagate_blocks(-1j * h, t, c0):

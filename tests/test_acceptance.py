@@ -11,7 +11,7 @@ import pytest
 
 from twophoton import (ModelParams, SweepSpec, closed_form_probability,
                        damping_sweep, effective_g_omega,
-                       effective_hamiltonian, envelope_compare,
+                       effective_hamiltonian,
                        evolve_amplitudes, evolve_density, evolve_probability,
                        expm_series, interference_amplitude,
                        perturbative_probability,
@@ -53,23 +53,23 @@ def deep_report():
 
 @pytest.fixture(scope="module")
 def damping():
-    return damping_sweep("bimodal")
+    return damping_sweep("bimodal", DAMPING_PARAMS, (0.0, 0.03, 0.1), 60.0)
 
 
 def test_criterion_1_resonance_scan_window(report, headline_scan,
                                            headline_scan_halfstep):
     best = headline_scan.argmax_row()
     fine = headline_scan_halfstep.argmax_row()
-    drift = abs(fine.axis_value - best.axis_value)
-    ok = (0.80 <= best.peak_value <= 1.00
-          and 5 * np.pi <= best.peak_time <= 7 * np.pi
+    drift = abs(fine["axis"] - best["axis"])
+    ok = (0.80 <= best["peak_value"] <= 1.00
+          and 5 * np.pi <= best["peak_time"] <= 7 * np.pi
           and drift <= 0.05 + 1e-12)
     report(1, ok,
-           f"peak={best.peak_value:.6f} at delta={best.axis_value:.3f}, "
-           f"t_peak={best.peak_time:.2f} in [5pi, 7pi]; "
+           f"peak={best['peak_value']:.6f} at delta={best['axis']:.3f}, "
+           f"t_peak={best['peak_time']:.2f} in [5pi, 7pi]; "
            f"half-step argmax drift={drift:.3f} <= 0.05")
-    assert 0.80 <= best.peak_value <= 1.00
-    assert 5 * np.pi <= best.peak_time <= 7 * np.pi
+    assert 0.80 <= best["peak_value"] <= 1.00
+    assert 5 * np.pi <= best["peak_time"] <= 7 * np.pi
     assert drift <= 0.05 + 1e-12
 
 
@@ -81,7 +81,7 @@ def test_criterion_2_shifted_resonance_location(report, headline_scan,
     bare = -SCAN_PARAMS.delta_cap
     stark_sign = np.sign(effective_g_omega(
         "bimodal", SCAN_PARAMS.replace(delta_small=bare))[1])
-    shift = best.axis_value - bare
+    shift = best["axis"] - bare
     direction_ok = abs(shift) > 0.05 and np.sign(shift) == -stark_sign
 
     # deep-dispersive agreement between the scan and the effective root
@@ -176,15 +176,21 @@ def test_criterion_5_resolvent_reduction(report):
 
 def test_criterion_6_envelope_accuracy(report, deep_report):
     delta_star = deep_report.delta_star_omega
-    comparison = envelope_compare(
-        "bimodal", DEEP.replace(delta_small=delta_star), horizon=600.0)
-    ok = comparison.dispersive and comparison.peak_relative_error <= 0.10
+    p = DEEP.replace(delta_small=delta_star)
+    # the envelope is a dispersive approximation: both detunings must
+    # exceed five times the larger coupling
+    dispersive = min(abs(p.delta_cap), abs(p.delta_small)) >= 5.0 * max(p.g1, p.g2)
+    grid = time_grid(600.0)
+    peak_exact = float(evolve_probability("bimodal", p, grid).values.max())
+    peak_envelope = float(closed_form_probability("bimodal", p, grid).max())
+    relative_error = abs(peak_envelope - peak_exact) / peak_exact
+    ok = dispersive and relative_error <= 0.10
     report(6, ok,
            f"deep-dispersive resonance delta*={delta_star:.4f}: exact peak "
-           f"{comparison.peak_exact:.4f} vs envelope {comparison.peak_envelope:.4f}, "
-           f"relative error {comparison.peak_relative_error:.3f} <= 0.10")
-    assert comparison.dispersive
-    assert comparison.peak_relative_error <= 0.10
+           f"{peak_exact:.4f} vs envelope {peak_envelope:.4f}, "
+           f"relative error {relative_error:.3f} <= 0.10")
+    assert dispersive
+    assert relative_error <= 0.10
 
 
 def test_criterion_7_damped_dynamics(report, damping):
@@ -202,13 +208,10 @@ def test_criterion_7_damped_dynamics(report, damping):
                      and min_eig >= -1e-6)
 
     # kappa = 0 must reproduce the coherent dynamics
-    undamped = damping.rows[0]
-    coherent = evolve_probability("bimodal", DAMPING_PARAMS,
-                                  undamped.series.times)
-    zero_kappa_gap = float(np.max(np.abs(undamped.series.values
-                                         - coherent.values)))
+    coherent = evolve_probability("bimodal", DAMPING_PARAMS, damping.times)
+    zero_kappa_gap = float(np.max(np.abs(damping.values[0] - coherent.values)))
 
-    ratios = [r.extras["late_to_first_ratio"] for r in damping.rows]
+    ratios = [r["late_to_first_ratio"] for r in damping.rows]
     monotone = ratios[0] > ratios[1] > ratios[2]
     band_ok = abs(ratios[1] - 0.374932) <= 2e-3
     strong_ok = ratios[2] <= 0.25

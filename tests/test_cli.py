@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +14,6 @@ import twophoton.cli as cli
 from twophoton import integrate
 from twophoton.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE,
                            OUTDIR_ENV, main)
-from twophoton.unitary import TimeSeries
 
 EVOLVE_ARGS = ["evolve", "--g2", "1.5", "--delta-cap", "-5",
                "--delta-small", "3.55", "--horizon", "5"]
@@ -128,20 +126,12 @@ def test_fill_matches_per_value_formatting(values):
     assert cli._fill(template, values) == ",".join(f"{x:.15g}" for x in values)
 
 
-@pytest.mark.parametrize("grids", ["shared", "distinct"])
-def test_scan_rows_match_per_value_formatting(tmp_path, monkeypatch, grids):
+def test_scan_rows_match_per_value_formatting(tmp_path, monkeypatch):
     results = []
 
     def scan(spec):
-        result = twophoton.scan_two_photon(spec)
-        if grids == "distinct":     # row 1 ends early; row 2 is back on the grid
-            row = result.rows[1]
-            short = TimeSeries(row.series.times[:-7], row.series.values[:-7])
-            rows = list(result.rows)
-            rows[1] = dataclasses.replace(row, series=short)
-            result = dataclasses.replace(result, rows=tuple(rows))
-        results.append(result)
-        return result
+        results.append(twophoton.scan_two_photon(spec))
+        return results[-1]
 
     monkeypatch.setattr(cli, "scan_two_photon", scan)
     assert main(["scan", "--g2", "1.5", "--delta-cap", "-5",
@@ -149,10 +139,9 @@ def test_scan_rows_match_per_value_formatting(tmp_path, monkeypatch, grids):
                  "--horizon", "5", "--out", str(tmp_path)]) == EXIT_OK
     [result] = results
     assert len(result.rows) == 3
-    for i, row in enumerate(result.rows):
+    for i, values in enumerate(result.values):
         text = (tmp_path / f"scan_delta_small_row{i:03d}.csv").read_text()
-        assert text == "g1_t,value\n" + per_value(row.series.times,
-                                                   row.series.values)
+        assert text == "g1_t,value\n" + per_value(result.times, values)
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
@@ -453,6 +442,34 @@ def test_scan_damping_ladder(tmp_path):
                           "late_window_peak,late_to_first_ratio")
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert len(manifest["outputs"]) == 3
+
+
+def test_empty_damping_ladder_exits_three_writing_nothing(tmp_path, capsys):
+    config = tmp_path / "ladder.json"
+    config.write_text(json.dumps({"axis": "kappa", "kappas": [],
+                                  "delta_small": 3.5, "horizon": 30}))
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        "configuration error: damping sweep needs at least one kappa")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--horizon", "5"],
+    ["scan", "--start", "3.5", "--stop", "3.6", "--step", "0.05", "--horizon", "5"],
+    ["resonance", "--interval", "3.4", "3.6", "--horizon", "5"],
+], ids=["evolve", "scan", "resonance"])
+def test_coherent_commands_refuse_damping(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--g2", "1.5", "--delta-cap", "-5", "--delta-small", "3.55",
+                        "--kappa-a", "0.2", "--kappa-b", "0.2",
+                        "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("configuration error: the coherent engine has no damping")
+    assert "master" in err and "scan --axis kappa" in err
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -120,19 +120,21 @@ def test_destructive_interference_limit_is_exact_zero():
 
 def test_resonance_detuning_deep_dispersive():
     p = ModelParams(g2=1.5, delta_cap=-10.0, delta_small=9.5)
-    res = resonance_detuning("bimodal", p, (8.0, 11.0))
-    assert res.delta_star == pytest.approx(9.4668584, abs=1e-6)
-    assert abs(res.omega_residual) < 1e-8
-    assert res.delta_star_stark == pytest.approx(9.4473520, abs=1e-6)
+    delta_star, delta_star_stark = resonance_detuning("bimodal", p, (8.0, 11.0))
+    assert delta_star == pytest.approx(9.4668584, abs=1e-6)
+    omega = effective_g_omega("bimodal", p.replace(delta_small=delta_star))[1]
+    assert abs(omega) < 1e-8
+    assert delta_star_stark == pytest.approx(9.4473520, abs=1e-6)
     # the bare condition delta = 10 is shifted down by the Stark terms
-    assert res.delta_star < 10.0
+    assert delta_star < 10.0
 
 
 def test_resonance_detuning_single_mode_matches_stark_form():
     # for the single-mode system the effective detuning IS the Stark form
     p = ModelParams(g1=0.2, g2=0.3, delta_cap=-10.0, delta_small=9.5)
-    res = resonance_detuning("single_mode", p, (8.0, 11.0))
-    assert res.delta_star_stark == pytest.approx(res.delta_star, abs=1e-8)
+    delta_star, delta_star_stark = resonance_detuning("single_mode", p,
+                                                      (8.0, 11.0))
+    assert delta_star_stark == pytest.approx(delta_star, abs=1e-8)
 
 
 def test_resonance_requires_sign_change():

@@ -1,22 +1,23 @@
-import warnings
-
 import numpy as np
 import pytest
 
+import twophoton.experiments
+
 from twophoton import (ConfigurationError, ModelParams, SweepSpec,
                        damping_sweep, default_horizon, effective_g_omega,
-                       envelope_compare, resonance_report, scan_two_photon,
-                       time_grid)
+                       resonance_report, scan_two_photon, time_grid)
 from twophoton.experiments import (MAX_DEFAULT_HORIZON, MAX_GRID_POINTS,
                                    axis_grid)
 
 SCAN_PARAMS = ModelParams(g2=1.5, delta_cap=-5.0)
+SCAN_AXIS = tuple(2.5 + 0.05 * np.arange(41))
+LADDER = (0.0, 0.03, 0.1)
 
 
 @pytest.fixture(scope="module")
 def headline_scan():
     spec = SweepSpec(kind="bimodal", params=SCAN_PARAMS, axis="delta_small",
-                     values=tuple(2.5 + 0.05 * np.arange(41)), horizon=25.0)
+                     values=SCAN_AXIS, horizon=25.0)
     return scan_two_photon(spec)
 
 
@@ -125,19 +126,22 @@ def test_sweep_spec_validation():
 
 def test_bimodal_scan_peak_location(headline_scan):
     best = headline_scan.argmax_row()
-    assert best.axis_value == pytest.approx(3.55, abs=1e-9)
-    assert best.peak_value == pytest.approx(0.904244, abs=1e-4)
-    assert best.peak_time == pytest.approx(20.93, abs=1e-9)
+    assert best["axis"] == pytest.approx(3.55, abs=1e-9)
+    assert best["peak_value"] == pytest.approx(0.904244, abs=1e-4)
+    assert best["peak_time"] == pytest.approx(20.93, abs=1e-9)
     # the resonance is clearly shifted below the bare condition delta = 5
-    assert best.axis_value < 4.0
+    assert best["axis"] < 4.0
 
 
 def test_scan_rows_follow_axis(headline_scan):
-    assert len(headline_scan.rows) == 41
-    assert [r.axis_value for r in headline_scan.rows] == list(headline_scan.spec.values)
-    for row in headline_scan.rows:
-        assert row.peak_value == row.series.values.max()
-        assert 0.0 <= row.peak_value <= 1.0
+    assert np.array_equal(headline_scan.times, time_grid(25.0))
+    assert headline_scan.values.shape == (41, 2501)
+    assert [r["axis"] for r in headline_scan.rows] == list(SCAN_AXIS)
+    for row, series in zip(headline_scan.rows, headline_scan.values):
+        assert list(row) == ["axis", "peak_value", "peak_time"]
+        assert row["peak_value"] == series.max()
+        assert row["peak_time"] == headline_scan.times[np.argmax(series)]
+        assert 0.0 <= row["peak_value"] <= 1.0
 
 
 def test_scan_provenance(headline_scan):
@@ -155,32 +159,9 @@ def test_single_mode_scan_peak():
                      axis="delta_small",
                      values=tuple(2.0 + 0.05 * np.arange(81)), horizon=25.0)
     best = scan_two_photon(spec).argmax_row()
-    assert best.axis_value == pytest.approx(2.75, abs=1e-9)
-    assert best.peak_value == pytest.approx(0.800492, abs=1e-4)
-    assert best.peak_time == pytest.approx(19.71, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# envelope comparison
-# ---------------------------------------------------------------------------
-
-def test_envelope_compare_dispersive_quiet():
-    p = ModelParams(g2=1.5, delta_cap=-10.0, delta_small=9.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        comp = envelope_compare("bimodal", p, horizon=30.0)
-    assert comp.dispersive
-    assert comp.peak_envelope == comp.envelope.max()
-    assert comp.peak_exact == comp.exact.max()
-    assert comp.times.shape == comp.exact.shape == comp.envelope.shape
-    assert comp.peak_relative_error >= 0.0
-
-
-def test_envelope_compare_warns_outside_validity():
-    p = SCAN_PARAMS.replace(delta_small=3.55)
-    with pytest.warns(UserWarning, match="dispersive validity"):
-        comp = envelope_compare("bimodal", p, horizon=25.0)
-    assert not comp.dispersive
+    assert best["axis"] == pytest.approx(2.75, abs=1e-9)
+    assert best["peak_value"] == pytest.approx(0.800492, abs=1e-4)
+    assert best["peak_time"] == pytest.approx(19.71, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +169,37 @@ def test_envelope_compare_warns_outside_validity():
 # ---------------------------------------------------------------------------
 
 def test_damping_sweep_single_mode_ratios():
-    result = damping_sweep("single_mode")
-    assert [r.axis_value for r in result.rows] == [0.0, 0.03, 0.1]
-    ratios = [r.extras["late_to_first_ratio"] for r in result.rows]
+    params = ModelParams(g1=1.0, g2=2.0, delta_cap=-5.0, delta_small=2.75)
+    result = damping_sweep("single_mode", params, LADDER, 60.0)
+    assert [r["axis"] for r in result.rows] == [0.0, 0.03, 0.1]
+    ratios = [r["late_to_first_ratio"] for r in result.rows]
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[0] == pytest.approx(0.9625, abs=2e-3)
     assert ratios[1] == pytest.approx(0.6659, abs=2e-3)
     assert ratios[2] == pytest.approx(0.1463, abs=2e-3)
     for row in result.rows:
-        assert row.extras["late_window_peak"] <= row.extras["first_window_peak"]
-        assert 0.0 <= row.peak_value <= 1.0
+        assert row["late_window_peak"] <= row["first_window_peak"]
+        assert 0.0 <= row["peak_value"] <= 1.0
     assert result.provenance["late_window"] == (25.0, 60.0)
     assert result.provenance["params"]["delta_small"] == 2.75
 
 
 def test_damping_sweep_validation():
+    params = SCAN_PARAMS.replace(delta_small=3.5)
     with pytest.raises(ConfigurationError):
-        damping_sweep("bimodal", kappas=(-0.1,))
+        damping_sweep("bimodal", params, (-0.1,), 60.0)
     with pytest.raises(ConfigurationError):
-        damping_sweep("bimodal", horizon=10.0)
+        damping_sweep("bimodal", params, LADDER, 10.0)
+
+
+def test_damping_sweep_refuses_an_empty_ladder(monkeypatch):
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("an empty ladder was evolved")
+
+    monkeypatch.setattr(twophoton.experiments, "evolve_population", no_evolution)
+    monkeypatch.setattr(twophoton.experiments, "time_grid", no_evolution)
+    with pytest.raises(ConfigurationError, match="at least one kappa"):
+        damping_sweep("bimodal", SCAN_PARAMS, [], 60.0)
 
 
 # ---------------------------------------------------------------------------
